@@ -50,17 +50,13 @@ struct RunResult
     // Attributed residual-miss counters (raw sums over caches).
     std::uint64_t miss_cold = 0;
     std::uint64_t miss_gp_pending = 0;
-    std::uint64_t prefills = 0;
-    std::uint64_t claim_hits = 0;
-    std::uint64_t harvests_ahead = 0;
 };
 
 /// One churn run: @p threads workers, each performing @p ops
 /// operations (alloc-burst / free-burst / defer mix) against a fresh
 /// allocator with the lock-free layer @p lockfree. @p defer_heavy
 /// inverts the defer mix (75% deferred instead of 25%) — the regime
-/// where refills race the prudence window and harvest-ahead earns
-/// its keep.
+/// where refills race the prudence window.
 RunResult
 run_churn(unsigned threads, std::size_t ops, std::size_t magazines,
           bool lockfree, bool defer_heavy = false)
@@ -74,16 +70,8 @@ run_churn(unsigned threads, std::size_t ops, std::size_t magazines,
     cfg.cpus = threads;
     cfg.magazine_capacity = magazines;
     cfg.lockfree_pcpu = lockfree;
-    // Residual-miss mechanism toggles (run_bench.sh 2x2 matrix).
     cfg.depot_blocks = prudence_bench::size_env("PRUDENCE_DEPOT_BLOCKS",
                                                 cfg.depot_blocks);
-    cfg.harvest_ahead =
-        prudence_bench::size_env("PRUDENCE_HARVEST_AHEAD",
-                                 cfg.harvest_ahead ? 1 : 0) != 0;
-    cfg.depot_prefill_blocks = prudence_bench::size_env(
-        "PRUDENCE_DEPOT_PREFILL", cfg.depot_prefill_blocks);
-    cfg.depot_claim_blocks = prudence_bench::size_env(
-        "PRUDENCE_CLAIM_RING", cfg.depot_claim_blocks);
     PrudenceAllocator alloc(rcu, cfg);
     CacheId cache = alloc.create_cache("fig15.obj", 128);
 
@@ -144,9 +132,6 @@ run_churn(unsigned threads, std::size_t ops, std::size_t magazines,
         exchanges += s.depot_exchanges;
         r.miss_cold += s.depot_miss_cold;
         r.miss_gp_pending += s.depot_miss_gp_pending;
-        r.prefills += s.depot_prefills;
-        r.claim_hits += s.depot_claim_hits;
-        r.harvests_ahead += s.depot_harvests_ahead;
     }
 
     double total_ops = static_cast<double>(ops) * threads;
@@ -227,20 +212,12 @@ main(int argc, char** argv)
                     off8_lock, on8_lock, off8_ns, on8_ns,
                     off8_ns / on8_ns);
     }
-    std::printf("# 8 threads on: miss_cold=%llu miss_gp_pending=%llu "
-                "prefills=%llu claim_hits=%llu harvests_ahead=%llu\n",
+    std::printf("# 8 threads on: miss_cold=%llu miss_gp_pending=%llu\n",
                 static_cast<unsigned long long>(on8.miss_cold),
-                static_cast<unsigned long long>(on8.miss_gp_pending),
-                static_cast<unsigned long long>(on8.prefills),
-                static_cast<unsigned long long>(on8.claim_hits),
-                static_cast<unsigned long long>(on8.harvests_ahead));
+                static_cast<unsigned long long>(on8.miss_gp_pending));
     std::printf("# 8 threads on-heavy: miss_cold=%llu "
-                "miss_gp_pending=%llu prefills=%llu claim_hits=%llu "
-                "harvests_ahead=%llu\n",
+                "miss_gp_pending=%llu\n",
                 static_cast<unsigned long long>(heavy8.miss_cold),
-                static_cast<unsigned long long>(heavy8.miss_gp_pending),
-                static_cast<unsigned long long>(heavy8.prefills),
-                static_cast<unsigned long long>(heavy8.claim_hits),
-                static_cast<unsigned long long>(heavy8.harvests_ahead));
+                static_cast<unsigned long long>(heavy8.miss_gp_pending));
     return 0;
 }

@@ -3,10 +3,9 @@
 # (DESIGN.md §11). First the self-test proves the fuzzer can still
 # catch deliberately-reintroduced interleaving bugs (stale spill tag,
 # unprotected depot pop) and that the clean code passes the same
-# sweep; then seven real sweeps cover the default config plus the
-# magazines-off, pcp-off, lockfree-off, harvest-ahead-off,
-# prefill-off and claim-ring-off ablations, so the per-op paths see
-# the same schedule perturbation.
+# sweep; then four real sweeps cover the default config plus the
+# magazines-off, pcp-off and lockfree-off ablations, so the per-op
+# paths see the same schedule perturbation.
 #
 # Any failing sweep leaves a JSON report (seed, yield-site mask,
 # shrunk minimal mask, first violation) in REPORT_DIR for upload as a
@@ -63,19 +62,4 @@ echo "== schedfuzz sweep: lock-free per-CPU layer off =="
     --lockfree-pcpu=0 \
     --report="$REPORT_DIR/schedfuzz-nolockfree.json" "$@"
 
-echo "== schedfuzz sweep: harvest-ahead off =="
-"$BUILD_DIR/tools/schedfuzz" --seeds="$SEEDS" --ops="$OPS" \
-    --harvest-ahead=0 \
-    --report="$REPORT_DIR/schedfuzz-noharvest.json" "$@"
-
-echo "== schedfuzz sweep: slab-side prefill off =="
-"$BUILD_DIR/tools/schedfuzz" --seeds="$SEEDS" --ops="$OPS" \
-    --depot-prefill=0 \
-    --report="$REPORT_DIR/schedfuzz-noprefill.json" "$@"
-
-echo "== schedfuzz sweep: claim ring off =="
-"$BUILD_DIR/tools/schedfuzz" --seeds="$SEEDS" --ops="$OPS" \
-    --claim-ring=0 \
-    --report="$REPORT_DIR/schedfuzz-noclaim.json" "$@"
-
-echo "schedfuzz: self-test + 7x$SEEDS-seed sweeps clean"
+echo "schedfuzz: self-test + 4x$SEEDS-seed sweeps clean"

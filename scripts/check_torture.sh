@@ -62,28 +62,6 @@ ctest --preset "$PRESET" -j "${JOBS:-2}"
     --lockfree-pcpu=0 \
     "$@"
 
-# Passes 5-7: each residual depot-miss mechanism (DESIGN.md §14)
-# disabled in turn — harvest-ahead off, slab-side prefill off, claim
-# ring off. The transparent-fallback contract says every leg must
-# survive the identical fault schedule with clean accounting.
-"$BUILD_DIR/tools/prudtorture" \
-    --duration="${DURATION:-20}" \
-    --fault-seed="${SEED:-42}" \
-    --harvest-ahead=0 \
-    "$@"
-
-"$BUILD_DIR/tools/prudtorture" \
-    --duration="${DURATION:-20}" \
-    --fault-seed="${SEED:-42}" \
-    --depot-prefill=0 \
-    "$@"
-
-"$BUILD_DIR/tools/prudtorture" \
-    --duration="${DURATION:-20}" \
-    --fault-seed="${SEED:-42}" \
-    --claim-ring=0 \
-    "$@"
-
 # Final pass with the adaptive reclamation governor driving the
 # pacing/admission/trim actuators while kGovernorAction faults refuse
 # a quarter of its dispatches: held actions must retry until they

@@ -104,22 +104,6 @@ echo "== fig15_slab_contention =="
 "$BUILD_DIR/bench/fig15_slab_contention" "$SCALE" \
     | tee "$TMP/fig15.txt"
 
-# Residual depot-miss mechanism matrix (DESIGN.md §14): slab-side
-# prefill x per-CPU claim ring, each on/off, harvest-ahead at the
-# build default. The run above is the prefill4_claim2 (all-default)
-# cell; the remaining three cells isolate each mechanism's share of
-# the lock_per_op reduction.
-for pf in 4 0; do
-    for cr in 2 0; do
-        [ "$pf" = 4 ] && [ "$cr" = 2 ] && continue
-        cfg="pf${pf}_cr${cr}"
-        echo "== fig15_slab_contention ($cfg) =="
-        PRUDENCE_DEPOT_PREFILL=$pf PRUDENCE_CLAIM_RING=$cr \
-            "$BUILD_DIR/bench/fig15_slab_contention" "$SCALE" \
-            | tee "$TMP/fig15_$cfg.txt"
-    done
-done
-
 # fig03 endurance leg with the telemetry monitor attached: the
 # RSS/latent-bytes/deferred-age time series land in the summary JSON
 # (the paper's memory-over-time narrative, machine-readable per SHA).
@@ -287,8 +271,7 @@ def parse_fig15(path):
         r"\s+([\d.]+)\s*$")
     miss_pat = re.compile(
         r"^# 8 threads (on(?:-heavy)?): miss_cold=(\d+)"
-        r" miss_gp_pending=(\d+) prefills=(\d+) claim_hits=(\d+)"
-        r" harvests_ahead=(\d+)\s*$")
+        r" miss_gp_pending=(\d+)\s*$")
     with open(path) as f:
         for line in f:
             m = pat.match(line)
@@ -307,9 +290,6 @@ def parse_fig15(path):
                 rows.setdefault("miss_attribution", {})[leg] = {
                     "miss_cold": int(m.group(2)),
                     "miss_gp_pending": int(m.group(3)),
-                    "prefills": int(m.group(4)),
-                    "claim_hits": int(m.group(5)),
-                    "harvests_ahead": int(m.group(6)),
                 }
     return rows
 
@@ -370,12 +350,6 @@ doc = {
     "configs": {},
     "fig14_page_contention": parse_fig14(f"{tmp}/fig14.txt"),
     "fig15_slab_contention": parse_fig15(f"{tmp}/fig15.txt"),
-    "fig15_mechanism_matrix": {
-        "prefill4_claim2": parse_fig15(f"{tmp}/fig15.txt"),
-        "prefill4_claim0": parse_fig15(f"{tmp}/fig15_pf4_cr0.txt"),
-        "prefill0_claim2": parse_fig15(f"{tmp}/fig15_pf0_cr2.txt"),
-        "prefill0_claim0": parse_fig15(f"{tmp}/fig15_pf0_cr0.txt"),
-    },
     "fig03_telemetry": parse_telemetry(f"{tmp}/fig03_telemetry.json"),
     "ablation_governor":
         parse_ablation_governor(f"{tmp}/ablation_governor.txt"),
@@ -441,17 +415,6 @@ if "lockfree_on" in s8 and "lockfree_off" in s8:
         print(f"fig15 @8 threads: per-CPU lock acq/op {off_l:.4f} -> "
               f"{on_l:.4f}, ns/op {off_ns:.1f} -> {on_ns:.1f} "
               f"({off_ns / on_ns:.2f}x)")
-
-cells = []
-for name in ("prefill0_claim0", "prefill0_claim2", "prefill4_claim0",
-             "prefill4_claim2"):
-    cell = doc["fig15_mechanism_matrix"][name].get(
-        "threads_8", {}).get("lockfree_on")
-    if cell:
-        cells.append(f"{name} {cell['pcpu_lock_acq_per_op']:.4f}")
-if cells:
-    print("fig15 mechanism matrix @8 threads lock/op: "
-          + ", ".join(cells))
 
 for key in ("scenario_burst", "scenario_diurnal", "scenario_churn"):
     legs = doc.get(key, {})

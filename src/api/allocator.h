@@ -180,13 +180,10 @@ class Allocator
     }
 
     /**
-     * Harvest-ahead sweep over the magazine depot (DESIGN.md §14):
-     * convert every deferred depot block whose grace period has
-     * completed into an immediately-reusable full block, WITHOUT
-     * releasing any cached capacity — the stock-replenishing
-     * counterpart of trim_depot, driven by the governor when the
-     * full-block stock runs low. No-op (0) for allocators without a
-     * depot. @return objects made reusable.
+     * Unused by the library: no allocator here implements it and
+     * nothing calls it. It remains only because the benchmark's
+     * timing decorator (prudbench/prudbench.cc) overrides it; delete
+     * it together with that override. @return 0.
      */
     virtual std::size_t harvest_depot() { return 0; }
 

@@ -51,7 +51,6 @@ PrudenceAllocator::PrudenceAllocator(GracePeriodDomain& domain,
         caches_[i]->index = i;
         caches_[i]->depot =
             std::make_unique<MagazineDepot>(depot_budget());
-        init_claim_rings(*caches_[i]);
     }
     cache_count_.store(kNumSizeClasses, std::memory_order_release);
 
@@ -144,7 +143,6 @@ PrudenceAllocator::create_cache(const std::string& name,
     caches_[count]->index = count;
     caches_[count]->depot =
         std::make_unique<MagazineDepot>(depot_budget());
-    init_claim_rings(*caches_[count]);
     // A cache created while the governor holds admission below
     // nominal starts at the restricted boundary too.
     if (latent_admission_pct_.load(std::memory_order_relaxed) < 100) {
@@ -1021,18 +1019,10 @@ PrudenceAllocator::magazine_alloc_slow(Cache& c, ThreadMagazines& t,
 
     // Lock-free refill (DESIGN.md §14): one CAS exchanges a whole
     // full (or grace-period-complete deferred) magazine block from
-    // the CPU's claim ring or the depot — no per-CPU lock, no
-    // splice. A miss with prefill enabled grows straight into whole
-    // depot blocks (one node-lock acquisition, no per-CPU lock)
-    // before falling through to the legacy locked path.
+    // the depot — no per-CPU lock, no splice. A miss falls through
+    // to the locked path.
     if (depot_enabled(c)) {
-        bool prefilled = false;
-        DepotMagazine* blk = depot_pop_reusable(c, t, stats);
-        if (blk == nullptr && config_.depot_prefill_blocks > 0) {
-            blk = depot_prefill(c, t, stats);
-            prefilled = blk != nullptr;
-        }
-        if (blk != nullptr) {
+        if (DepotMagazine* blk = depot_pop_reusable(c, t, stats)) {
             std::size_t got_lf = blk->count;
             assert(got_lf > 0 && got_lf <= m.objects.capacity());
             for (std::size_t i = 0; i < got_lf; ++i)
@@ -1042,13 +1032,10 @@ PrudenceAllocator::magazine_alloc_slow(Cache& c, ThreadMagazines& t,
             // these objects leave depot custody now.
             stats.live_objects.add(static_cast<std::int64_t>(got_lf));
             // Served without touching slabs: a hit, like the locked
-            // path's !refilled case (a prefill DID touch slabs, so it
-            // counts like the locked path's refilled case instead).
-            // Stat deltas fold through the atomic counters only — the
-            // pc event rates (preflush aggressiveness) are a
-            // locked-path signal.
-            if (!prefilled)
-                ++m.stats.cache_hits;
+            // path's !refilled case. Stat deltas fold through the
+            // atomic counters only — the pc event rates (preflush
+            // aggressiveness) are a locked-path signal.
+            ++m.stats.cache_hits;
             m.stats.flush_into(stats);
             PRUDENCE_TRACE_EMIT(trace::EventId::kMagRefill, got_lf,
                                 t.cpu);
@@ -1148,23 +1135,7 @@ PrudenceAllocator::magazine_flush(Cache& c, ThreadMagazines& t,
             // subtracting first keeps the peak gauge from counting
             // the batch twice (transient under-count instead).
             stats.live_objects.sub(static_cast<std::int64_t>(k));
-            LockFreeRing* ring =
-                claim_enabled(c) ? pc.claim.get() : nullptr;
-            bool parked = false;
-            if (ring != nullptr) {
-                // Park in this CPU's claim ring first: the block
-                // stays depot custody, so the full-objects gauge is
-                // adjusted here in push_full's stead — add BEFORE the
-                // publish so a concurrent claimer's subtraction can
-                // never under-flow the unsigned gauge.
-                c.depot->note_claimed_full(k);
-                PRUDENCE_SIM_YIELD(kDepotClaim);
-                parked = ring->push(blk);
-                if (!parked)
-                    c.depot->note_unclaimed_full(k);
-            }
-            if (!parked)
-                c.depot->push_full(blk);
+            c.depot->push_full(blk);
             stats.depot_exchanges.add();
             m.stats.flush_into(stats);
             PRUDENCE_TRACE_EMIT(trace::EventId::kMagFlush, k, t.cpu);
@@ -1424,33 +1395,8 @@ PrudenceAllocator::depot_pop_reusable(Cache& c, ThreadMagazines& t,
                                       CacheStats& stats)
 {
     MagazineDepot& d = *c.depot;
-    if (claim_enabled(c)) {
-        // CPU-local claim ring first: a block parked here is refilled
-        // without touching the shared Treiber stacks at all.
-        LockFreeRing& ring = *c.cpus[t.cpu]->claim;
-        if (void* raw = ring.pop()) {
-            auto* blk = static_cast<DepotMagazine*>(raw);
-            // Custody contract (magazine_depot.h): the full-objects
-            // gauge counted the parked block; subtract only now that
-            // the claim succeeded.
-            d.note_unclaimed_full(blk->count);
-            stats.depot_claim_hits.add();
-            stats.depot_exchanges.add();
-            return blk;
-        }
-    }
     if (DepotMagazine* blk = d.pop_full()) {
         stats.depot_exchanges.add();
-        // Harvest-ahead (DESIGN.md §14): this pop left the full stock
-        // below the low watermark while ripe deferred blocks may be
-        // waiting — promote a couple NOW so the next refill finds
-        // stock instead of paying a gp_pending miss.
-        if (config_.harvest_ahead &&
-            d.full_blocks() < config_.harvest_low_blocks &&
-            d.deferred_blocks() > 0) {
-            depot_harvest_ahead(c, refresh_completed(t),
-                                /*max_blocks=*/2);
-        }
         return blk;
     }
 
@@ -1488,9 +1434,8 @@ PrudenceAllocator::depot_pop_reusable(Cache& c, ThreadMagazines& t,
     if (found == nullptr) {
         // Miss attribution (DESIGN.md §14): a miss with unsafe
         // deferred blocks in view means stock EXISTS but its grace
-        // periods are still open (gp_pending — expedite or harvest
-        // ahead would have helped); with none in view the depot is
-        // simply cold (only slab-side prefill can help).
+        // periods are still open (gp_pending); with none in view the
+        // depot is simply cold.
         if (n_unsafe > 0)
             stats.depot_miss_gp_pending.add();
         else
@@ -1541,185 +1486,12 @@ PrudenceAllocator::depot_harvest_safe(Cache& c)
 }
 
 std::size_t
-PrudenceAllocator::depot_harvest_ahead(Cache& c, GpEpoch completed,
-                                       std::size_t max_blocks)
-{
-    // The hot-path arm of harvest-ahead: same safety check as
-    // depot_pop_reusable's deferred scan, but promoted blocks go to
-    // the full stack instead of the caller — stock for the NEXT
-    // refill. Bounded like the scan so a deep unsafe backlog cannot
-    // stall the allocation that triggered it.
-    MagazineDepot& d = *c.depot;
-    CacheStats& stats = c.pool.stats();
-    if (max_blocks > 4)
-        max_blocks = 4;
-    DepotMagazine* unsafe_blocks[4];
-    std::size_t n_unsafe = 0;
-    std::size_t blocks_done = 0;
-    std::size_t promoted = 0;
-    while (blocks_done < max_blocks && n_unsafe < 4) {
-        DepotMagazine* blk = d.pop_deferred();
-        if (blk == nullptr)
-            break;
-        PRUDENCE_SIM_YIELD(kDepotHarvest);
-        bool safe = blk->epoch <= completed;
-        PRUDENCE_SIM_STMT(
-            if (sim::bug_enabled(sim::BugId::kUnprotectedDepotPop))
-                safe = true);
-        if (!safe) {
-            unsafe_blocks[n_unsafe++] = blk;
-            continue;
-        }
-        for (std::size_t i = 0; i < blk->count; ++i)
-            PRUDENCE_SIM_STMT(sim::model_on_reuse(blk->objs[i]));
-        record_depot_ages(*blk);
-        stats.deferred_outstanding.sub(
-            static_cast<std::int64_t>(blk->count));
-        promoted += blk->count;
-        blk->defer_ts = 0;
-        d.push_full(blk);
-        stats.depot_harvests_ahead.add();
-        ++blocks_done;
-    }
-    for (std::size_t i = 0; i < n_unsafe; ++i)
-        d.push_deferred(unsafe_blocks[i]);
-    return promoted;
-}
-
-DepotMagazine*
-PrudenceAllocator::depot_prefill(Cache& c, ThreadMagazines& t,
-                                 CacheStats& stats)
-{
-    // Slab-side block prefill (DESIGN.md §14): the depot missed cold,
-    // so the refill must touch slabs anyway — make the ONE node-lock
-    // acquisition fill several whole blocks instead of one magazine's
-    // worth, so the next misses find depot stock and skip the lock
-    // entirely.
-    if (PRUDENCE_FAULT_POINT(kRefillFail)) {
-        // Injected refill failure covers every slab-touching refill
-        // path; the legacy locked refill below will refuse too.
-        return nullptr;
-    }
-    MagazineDepot& d = *c.depot;
-    std::size_t max_blocks = config_.depot_prefill_blocks;
-    if (max_blocks > 8)
-        max_blocks = 8;
-    DepotMagazine* blocks[8];
-    std::size_t acquired = 0;
-    while (acquired < max_blocks) {
-        DepotMagazine* blk = d.acquire_empty();
-        if (blk == nullptr)
-            break;  // block budget exhausted: fill what we have
-        blocks[acquired++] = blk;
-    }
-    if (acquired == 0)
-        return nullptr;
-
-    std::size_t per_block = magazine_capacity_for(c);
-    GpEpoch completed = refresh_completed(t);
-    NodeLists& node = c.pool.node();
-    std::size_t nfilled = 0;
-    {
-        std::lock_guard<SpinLock> node_guard(node.lock);
-        SlabHeader* slab = nullptr;
-        std::size_t bi = 0;
-        std::size_t in_block = 0;
-        while (bi < acquired) {
-            if (slab == nullptr || slab->free_count == 0) {
-                if (slab != nullptr)
-                    node.move_to(slab,
-                                 NodeLists::deferred_aware_kind(slab));
-                slab = select_slab(c, completed);
-                if (slab == nullptr) {
-                    slab = c.pool.grow();
-                    if (slab == nullptr)
-                        break;  // OOM: keep whatever is batched
-                    node.move_to(slab, SlabListKind::kPartial);
-                }
-            }
-            // select_slab guarantees free_count > 0, so every pass
-            // moves at least one object — the loop always progresses.
-            DepotMagazine* blk = blocks[bi];
-            std::size_t got = c.pool.pop_freelist_batch(
-                slab, blk->objs + in_block, per_block - in_block);
-            in_block += got;
-            if (in_block == per_block) {
-                blk->count = in_block;
-                ++bi;
-                in_block = 0;
-            }
-        }
-        if (slab != nullptr)
-            node.move_to(slab, NodeLists::deferred_aware_kind(slab));
-        if (in_block > 0) {
-            // Trailing partial block (OOM or drained freelists): a
-            // short full block is still a valid refill unit.
-            blocks[bi]->count = in_block;
-            ++bi;
-        }
-        nfilled = bi;
-    }
-    if (nfilled == 0) {
-        for (std::size_t i = 0; i < acquired; ++i)
-            d.release_empty(blocks[i]);
-        return nullptr;
-    }
-    stats.refills.add();
-    stats.depot_prefills.add();
-    // Between filling the blocks and publishing them: the batched
-    // objects are in nobody's shared custody (same window as a
-    // magazine_flush depot publish) — validate() must survive it.
-    PRUDENCE_SIM_YIELD(kDepotPrefill);
-    // Block 0 feeds the triggering refill directly; the surplus
-    // becomes shared stock (push_full adds it to the gauge).
-    for (std::size_t i = 1; i < nfilled; ++i)
-        d.push_full(blocks[i]);
-    for (std::size_t i = nfilled; i < acquired; ++i)
-        d.release_empty(blocks[i]);
-    return blocks[0];
-}
-
-void
-PrudenceAllocator::init_claim_rings(Cache& c)
-{
-    if (!claim_enabled(c))
-        return;
-    for (auto& pc : c.cpus)
-        pc->claim =
-            std::make_unique<LockFreeRing>(config_.depot_claim_blocks);
-}
-
-void
-PrudenceAllocator::depot_unclaim_all(Cache& c)
-{
-    if (!claim_enabled(c))
-        return;
-    MagazineDepot& d = *c.depot;
-    for (auto& pc : c.cpus) {
-        LockFreeRing& ring = *pc->claim;
-        while (void* raw = ring.pop()) {
-            auto* blk = static_cast<DepotMagazine*>(raw);
-            // Gauge-neutral custody move: the claim subtraction and
-            // push_full's addition cancel — the block never stops
-            // being depot capacity.
-            d.note_unclaimed_full(blk->count);
-            d.push_full(blk);
-        }
-    }
-}
-
-std::size_t
 PrudenceAllocator::depot_release_full(Cache& c,
                                       std::size_t keep_full_blocks)
 {
     if (c.depot == nullptr || c.depot->blocks_created() == 0)
         return 0;
     MagazineDepot& d = *c.depot;
-    // Claim-ring blocks are depot custody too: fold them back into
-    // the shared full stack first so the keep/drain split below sees
-    // the whole cached capacity (retention, trim, drain and reclaim
-    // all funnel through here).
-    depot_unclaim_all(c);
 
     // Full blocks beyond the keep allowance: members go straight back
     // to slab freelists (they were never live nor deferred — just
@@ -1838,22 +1610,6 @@ PrudenceAllocator::trim_depot(std::size_t keep_blocks)
 }
 
 std::size_t
-PrudenceAllocator::harvest_depot()
-{
-    // Governor actuator (DESIGN.md §13/§14): replenish full-block
-    // stock from ripe deferred blocks without releasing any cached
-    // capacity — the maintenance-tick arm of harvest-ahead, also
-    // schedulable on a low-stock telemetry edge. Cheap no-op when
-    // nothing is deferred.
-    std::lock_guard<std::mutex> sweep(sweep_mutex_);
-    std::size_t harvested = 0;
-    std::size_t count = cache_count_.load(std::memory_order_acquire);
-    for (std::size_t i = 0; i < count; ++i)
-        harvested += depot_harvest_safe(*caches_[i]);
-    return harvested;
-}
-
-std::size_t
 PrudenceAllocator::depot_full_objects() const
 {
     std::size_t total = 0;
@@ -1908,10 +1664,9 @@ PrudenceAllocator::register_telemetry_probes(
     group.add(prefix + "alloc.depot_blocks", "blocks", [this] {
         return static_cast<std::uint64_t>(depot_blocks_created());
     });
-    // Attributed depot misses (DESIGN.md §14): cold (no stock at all
-    // — prefill territory) vs gp_pending (stock exists but its grace
-    // periods are open — harvest-ahead/expedite territory). Summed
-    // over caches from the per-cache counters.
+    // Attributed depot misses (DESIGN.md §14): cold (no stock at all)
+    // vs gp_pending (stock exists but its grace periods are open).
+    // Summed over caches from the per-cache counters.
     auto sum_counter = [this](const Counter CacheStats::*f) {
         std::uint64_t total = 0;
         std::size_t count =

@@ -50,7 +50,6 @@
 #include "slab/slab_pool.h"
 #include "sync/cacheline.h"
 #include "sync/cpu_registry.h"
-#include "sync/lockfree_ring.h"
 #include "sync/spinlock.h"
 #include "sync/thread_cache_registry.h"
 
@@ -135,14 +134,6 @@ class PrudenceAllocator final : public Allocator
      */
     std::size_t trim_depot(std::size_t keep_blocks) override;
 
-    /**
-     * Harvest-ahead sweep (governor harvest_depot actuator,
-     * DESIGN.md §14): promote every grace-period-complete deferred
-     * depot block to the full stack across all caches, releasing
-     * nothing. @return objects made reusable.
-     */
-    std::size_t harvest_depot() override;
-
     /// Default probes plus the lock-free depot occupancy gauges
     /// (alloc.depot_* — the governor's trim_depot inputs).
     void register_telemetry_probes(telemetry::ProbeGroup& group,
@@ -164,15 +155,6 @@ class PrudenceAllocator final : public Allocator
         /// Deferred objects awaiting their grace period; capacity ==
         /// object-cache capacity (the paper's latent-cache limit).
         LatentRing latent;
-
-        /// Per-CPU claim ring (DESIGN.md §14): up to
-        /// depot_claim_blocks full DepotMagazine* parked CPU-locally
-        /// in front of the shared depot stacks. MPMC — threads
-        /// sharing this virtual CPU exchange blocks through it, and
-        /// drain paths pop it from any thread. Blocks stay counted in
-        /// the depot's full-objects gauge while parked (custody
-        /// contract in magazine_depot.h). null when the ring is off.
-        std::unique_ptr<LockFreeRing> claim;
 
         /// Event counters for the pre-flush aggressiveness decision
         /// (owner-updated under lock; maintenance reads deltas).
@@ -305,40 +287,14 @@ class PrudenceAllocator final : public Allocator
                    ? config_.depot_blocks
                    : 0;
     }
-    /// True when per-CPU claim rings front the shared depot for @p c.
-    bool claim_enabled(const Cache& c) const
-    {
-        return config_.depot_claim_blocks > 0 && depot_enabled(c);
-    }
-    /// Build the per-CPU claim rings for @p c (construction time,
-    /// after the depot exists); no-op when the ring is configured off.
-    void init_claim_rings(Cache& c);
-    /// Claim a reusable depot block: the CPU's claim ring first, then
-    /// a shared full block, else a deferred block whose grace period
+    /// Claim a reusable depot block: a shared full block, else a
+    /// deferred block whose grace period
     /// completed (harvested: members become reusable, deferred
     /// accounting drops). Bounded scan; unsafe deferred blocks are
     /// re-pushed. nullptr when nothing reusable (the miss is
     /// attributed to depot_miss_cold or depot_miss_gp_pending).
     DepotMagazine* depot_pop_reusable(Cache& c, ThreadMagazines& t,
                                       CacheStats& stats);
-    /// Slab-side block prefill (DESIGN.md §14): fill up to
-    /// depot_prefill_blocks depot blocks straight from slab freelists
-    /// under ONE node-lock acquisition; surplus blocks go to the full
-    /// stack. @return one filled, exclusively-owned block for the
-    /// caller, or nullptr (budget exhausted / slabs empty — the
-    /// locked fallback handles OOM).
-    DepotMagazine* depot_prefill(Cache& c, ThreadMagazines& t,
-                                 CacheStats& stats);
-    /// Bounded harvest-ahead: promote up to @p max_blocks ripe
-    /// deferred blocks to the full stack (unsafe ones re-pushed).
-    /// The hot-path arm of the harvest-ahead mechanism; the
-    /// maintenance tick and governor run the unbounded
-    /// depot_harvest_safe instead. @return objects promoted.
-    std::size_t depot_harvest_ahead(Cache& c, GpEpoch completed,
-                                    std::size_t max_blocks);
-    /// Move every claim-ring block of @p c back to the shared full
-    /// stack so trim/drain/release sweeps see the whole depot.
-    void depot_unclaim_all(Cache& c);
     /// Sweep @p c's deferred depot blocks: convert every block whose
     /// grace period completed into a full block (maintenance + OOM
     /// expedite). @return objects made reusable.

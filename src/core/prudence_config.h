@@ -102,47 +102,6 @@ struct PrudenceConfig
     std::size_t depot_blocks = 64;
 
     /**
-     * Harvest-ahead (DESIGN.md §14): when the depot's full-block
-     * stock drops below harvest_low_blocks, the refill fast path (in
-     * addition to the maintenance tick and the governor's
-     * harvest_depot actuator) converts ripe deferred blocks — blocks
-     * whose stamped grace period completed — into full blocks before
-     * the stock runs dry, so completed deferrals never sit
-     * un-harvested while allocations fall back to the locked splice.
-     * false = ripe blocks are harvested only at a miss (the PR 8
-     * behavior) and by maintenance.
-     */
-    bool harvest_ahead = true;
-
-    /// Full-block low watermark (blocks) that arms the hot-path
-    /// harvest-ahead check. Small by design: the trigger costs one
-    /// relaxed stack-size read per depot refill.
-    std::size_t harvest_low_blocks = 2;
-
-    /**
-     * Slab-side block prefill (DESIGN.md §14): on a depot miss with
-     * nothing reusable, grow straight into whole depot blocks — ONE
-     * node-lock acquisition fills up to this many blocks from slab
-     * freelists, one tipped into the requesting magazine and the rest
-     * pushed to the full stack for other threads. Amortizes the cold
-     * refill the way pcp_batch amortizes page allocation. 0 disables
-     * (cold misses splice one magazine under the per-CPU lock, as in
-     * PR 8).
-     */
-    std::size_t depot_prefill_blocks = 4;
-
-    /**
-     * Per-CPU claim ring (DESIGN.md §14): each CPU holds up to this
-     * many claimed full blocks in a private Vyukov ring in front of
-     * the shared depot, so steady-state refill/flush pairs exchange
-     * blocks CPU-locally without touching the shared Treiber stacks.
-     * Claimed blocks remain depot custody (counted in the
-     * full-objects gauge, reclaimed by trim/drain). 0 disables the
-     * ring (every exchange goes to the shared stacks, as in PR 8).
-     */
-    std::size_t depot_claim_blocks = 2;
-
-    /**
      * Free blocks kept per (CPU, order) in the buddy allocator's
      * per-CPU page caches (DESIGN.md §10) before a batch is returned
      * to the global free lists. Slab grow/shrink then takes the

@@ -41,8 +41,6 @@ action_name(ActionId id)
         return "trim_pcp";
     case ActionId::kTrimDepot:
         return "trim_depot";
-    case ActionId::kHarvestDepot:
-        return "harvest_depot";
     case ActionId::kReclaim:
         return "reclaim";
     case ActionId::kMaxAction:
@@ -233,9 +231,6 @@ ReclamationGovernor::dispatch(ActionId action, std::uint64_t arg,
             break;
         case ActionId::kTrimDepot:
             ok = actuators_.trim_depot(static_cast<std::size_t>(arg));
-            break;
-        case ActionId::kHarvestDepot:
-            ok = actuators_.harvest_depot();
             break;
         case ActionId::kReclaim:
             ok = actuators_.reclaim();
@@ -430,8 +425,6 @@ ReclamationGovernor::evaluate_locked(std::uint64_t t_ns)
             dispatch(ActionId::kTrimPcp, ss->scheme.arg, ss);
         else if (ss->scheme.action == ActionId::kTrimDepot)
             dispatch(ActionId::kTrimDepot, ss->scheme.arg, ss);
-        else if (ss->scheme.action == ActionId::kHarvestDepot)
-            dispatch(ActionId::kHarvestDepot, ss->scheme.arg, ss);
         else if (ss->scheme.action == ActionId::kReclaim)
             dispatch(ActionId::kReclaim, ss->scheme.arg, ss);
     }
@@ -534,26 +527,6 @@ default_schemes(const DefaultSchemeTuning& tuning)
     depot.action = ActionId::kTrimDepot;
     depot.arg = 4;
     schemes.push_back(depot);
-
-    // Depot stock running low: promote every ripe deferred block to
-    // the full stack before refills start paying gp_pending misses
-    // (DESIGN.md §14 harvest-ahead, the maintenance/governor arm).
-    // Harvesting is a cheap no-op when nothing is deferred, so a
-    // kBelow rule that is trivially active on an idle depot costs
-    // only the edge dispatch per excursion.
-    Scheme harvest;
-    harvest.name = "harvest_depot_on_low_stock";
-    harvest.probe = tuning.prefix + "alloc.depot_full_objects";
-    harvest.cmp = Scheme::Cmp::kBelow;
-    harvest.threshold = tuning.depot_full_objects_low;
-    harvest.rearm = tuning.depot_full_objects_low * 2;
-    harvest.for_at_least = tuning.hold;
-    harvest.cooldown = tuning.cooldown;
-    harvest.priority = 10;
-    harvest.level = PressureLevel::kElevated;
-    harvest.action = ActionId::kHarvestDepot;
-    harvest.arg = 0;
-    schemes.push_back(harvest);
 
     return schemes;
 }

@@ -86,8 +86,6 @@ enum class ActionId : std::uint8_t {
     kShrinkLatent,  ///< held: restrict deferral admission (arg = pct)
     kTrimPcp,       ///< edge: trim per-CPU page caches (arg = keep/order)
     kTrimDepot,     ///< edge: trim magazine depot (arg = keep blocks)
-    kHarvestDepot,  ///< edge: replenish depot full stock from ripe
-                    ///< deferred blocks (harvest-ahead, arg unused)
     kReclaim,       ///< edge: harvest every already-safe deferral
     kMaxAction
 };
@@ -173,12 +171,6 @@ class Actuators
     /// companion of trim_pcp.
     virtual bool trim_depot(std::size_t keep_blocks) = 0;
 
-    /// Edge: replenish the depot's full-block stock by promoting
-    /// every grace-period-complete deferred block (DESIGN.md §14
-    /// harvest-ahead) — trim_depot's stock-side counterpart; releases
-    /// nothing.
-    virtual bool harvest_depot() = 0;
-
     /// Edge: harvest every deferral whose grace period completed.
     virtual bool reclaim() = 0;
 };
@@ -226,13 +218,6 @@ class AllocatorActuators : public Actuators
     trim_depot(std::size_t keep_blocks) override
     {
         allocator_.trim_depot(keep_blocks);
-        return true;
-    }
-
-    bool
-    harvest_depot() override
-    {
-        allocator_.harvest_depot();
         return true;
     }
 
@@ -403,23 +388,18 @@ struct DefaultSchemeTuning
     std::uint64_t deferred_age_p99_ns = 50'000'000;
     /// kTrimDepot when alloc.depot_full_objects exceeds this.
     std::uint64_t depot_full_objects_high = 4096;
-    /// kHarvestDepot when alloc.depot_full_objects drops below this
-    /// while deferrals are in flight (stock running low — promote
-    /// ripe deferred blocks before refills start missing).
-    std::uint64_t depot_full_objects_low = 256;
     std::chrono::milliseconds hold{10};
     std::chrono::milliseconds cooldown{50};
 };
 
 /**
  * The stock scheme list — the ISSUE's three rules plus the headroom
- * trim companion and the depot stock pair:
+ * trim companion and the depot trim:
  *  1. latent_bytes above high for hold  ⇒ expedite GPs   (elevated)
  *  2. deferred-age p99 above bound      ⇒ widen batches  (elevated)
  *  3. low-order headroom below low      ⇒ shrink latent  (critical)
  *  4. low-order headroom below low      ⇒ trim PCP       (critical)
  *  5. depot full objects above high     ⇒ trim depot     (elevated)
- *  6. depot full objects below low      ⇒ harvest depot  (elevated)
  */
 std::vector<Scheme> default_schemes(const DefaultSchemeTuning& tuning);
 
@@ -437,7 +417,6 @@ class AllocatorActuators : public Actuators
     bool shrink_latent(unsigned) override { return true; }
     bool trim_pcp(std::size_t) override { return true; }
     bool trim_depot(std::size_t) override { return true; }
-    bool harvest_depot() override { return true; }
     bool reclaim() override { return true; }
 };
 

@@ -96,10 +96,6 @@ yield_name(YieldId id)
         return "depot_exchange";
     case YieldId::kDepotHarvest:
         return "depot_harvest";
-    case YieldId::kDepotPrefill:
-        return "depot_prefill";
-    case YieldId::kDepotClaim:
-        return "depot_claim";
     case YieldId::kMaxYield:
         break;
     }

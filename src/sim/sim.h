@@ -94,11 +94,6 @@ enum class YieldId : std::uint16_t {
                      ///< CAS that exchanges custody
     kDepotHarvest,   ///< between reading a deferred block's epoch and
                      ///< claiming its objects for reuse
-    kDepotPrefill,   ///< between filling prefill blocks from slab
-                     ///< freelists and publishing them to the full
-                     ///< stack (objects in no shared structure)
-    kDepotClaim,     ///< between a claim-ring block transfer and the
-                     ///< matching full-objects gauge adjustment
 
     kMaxYield
 };

@@ -158,30 +158,6 @@ public:
         return block;
     }
 
-    // -- claim-ring custody (DESIGN.md §14) --
-    //
-    // Full blocks parked in a per-CPU claim ring stay DEPOT custody:
-    // the full-objects gauge keeps counting them so validate(),
-    // telemetry and the trim/retention policies see one coherent
-    // cached-capacity number regardless of which structure holds the
-    // block. The ring owner adjusts the gauge around each transfer:
-    // add BEFORE parking a block (transient over-count, never an
-    // unsigned under-flow) and subtract AFTER claiming one.
-
-    /// A filled block entered claim-ring custody without passing
-    /// through push_full() (count objects join the gauge).
-    void note_claimed_full(std::size_t count)
-    {
-        full_objects_.fetch_add(count, std::memory_order_relaxed);
-    }
-
-    /// A block left claim-ring custody without passing through
-    /// pop_full() (count objects leave the gauge).
-    void note_unclaimed_full(std::size_t count)
-    {
-        full_objects_.fetch_sub(count, std::memory_order_relaxed);
-    }
-
     // -- monitoring (exact at quiescence; hints under concurrency) --
 
     std::size_t full_objects() const
@@ -194,7 +170,6 @@ public:
         return deferred_objects_.load(std::memory_order_relaxed);
     }
 
-    std::size_t full_blocks() const { return full_.count(); }
     std::size_t deferred_blocks() const { return deferred_.count(); }
     std::size_t empty_blocks() const { return empty_.count(); }
 

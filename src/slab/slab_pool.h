@@ -84,9 +84,9 @@ class SlabPool
 
     /**
      * Pop up to @p max objects off @p slab's freelist into @p out in
-     * one sweep (the batch primitive behind object-cache refill and
-     * the depot's slab-side block prefill, DESIGN.md §14). Caller
-     * holds the node lock and re-lists the slab afterwards.
+     * one sweep (the batch primitive behind the SLUB baseline's
+     * refill_batch). Caller holds the node lock and re-lists the
+     * slab afterwards.
      * @return objects moved (stops early when the freelist drains).
      */
     std::size_t pop_freelist_batch(SlabHeader* slab, void** out,

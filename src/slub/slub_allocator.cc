@@ -12,6 +12,15 @@
 
 namespace prudence {
 
+namespace {
+
+/// Refill batches a ring-empty lock-free refill pulls under one
+/// node-lock acquisition: one feeds the magazine, the surplus is
+/// parked in the CPU's ring (capped at kMaxMagazineCapacity objects).
+constexpr std::size_t kRefillPrefillBatches = 4;
+
+}  // namespace
+
 SlubAllocator::Cache::Cache(std::string name, std::size_t object_size,
                             BuddyAllocator& buddy, PageOwnerTable& owners,
                             unsigned ncpus, bool lockfree)
@@ -34,7 +43,6 @@ SlubAllocator::SlubAllocator(GracePeriodDomain& domain,
       cpu_registry_(config.cpus),
       magazine_capacity_(config.magazine_capacity),
       lockfree_pcpu_(config.lockfree_pcpu),
-      depot_prefill_blocks_(config.depot_prefill_blocks),
       pressure_drain_batch_(config.pressure_drain_batch),
       magazine_registry_(ThreadCacheRegistry::Hooks{
           [this](void* t) {
@@ -501,18 +509,13 @@ SlubAllocator::magazine_alloc_slow(Cache& c, ThreadMagazines& t,
             ++got;
         }
         if (got == 0) {
-            // Slab-side prefill (DESIGN.md §14 mirror): the refill
-            // takes the node lock anyway, so make that ONE
-            // acquisition pull several batches and park the surplus
-            // in the ring — the next misses on this CPU skip the
-            // lock entirely.
+            // Slab-side prefill: the refill takes the node lock
+            // anyway, so make that ONE acquisition pull several
+            // batches and park the surplus in the ring — the next
+            // misses on this CPU skip the lock entirely.
             void* batch[kMaxMagazineCapacity];
-            std::size_t ask = want;
-            if (depot_prefill_blocks_ > 1) {
-                ask = want * depot_prefill_blocks_;
-                if (ask > kMaxMagazineCapacity)
-                    ask = kMaxMagazineCapacity;
-            }
+            std::size_t ask = std::min(want * kRefillPrefillBatches,
+                                       kMaxMagazineCapacity);
             std::size_t n = refill_batch(c, batch, ask);
             if (n == 0)
                 return nullptr;  // out of memory

@@ -77,16 +77,6 @@ struct SlubConfig
      */
     bool lockfree_pcpu = PRUDENCE_LOCKFREE_PCPU_DEFAULT != 0;
 
-    /**
-     * Slab-side batch prefill multiplier for the lock-free leg's
-     * refill (DESIGN.md §14 mirror of PrudenceConfig::
-     * depot_prefill_blocks): a ring-empty refill pulls up to this
-     * many refill batches under ONE node-lock acquisition, keeps one
-     * in the magazine and parks the surplus in the CPU's ring.
-     * <= 1 = plain single-batch refills.
-     */
-    std::size_t depot_prefill_blocks = 4;
-
     /// Per-CPU page-cache high watermark (0 = off), mirroring
     /// PrudenceConfig::pcp_high_watermark so both allocators front
     /// the buddy lock the same way (DESIGN.md §10).
@@ -221,8 +211,6 @@ class SlubAllocator final : public Allocator
     std::size_t magazine_capacity_;
     /// Lock-free per-CPU toggle (from SlubConfig; DESIGN.md §14).
     bool lockfree_pcpu_;
-    /// Ring-leg refill prefill multiplier (from SlubConfig).
-    std::size_t depot_prefill_blocks_;
     /// Governor admission-restriction drain width (from SlubConfig).
     std::size_t pressure_drain_batch_;
     /// Per-thread magazine tables (drain-on-thread-exit). Shut down

@@ -25,9 +25,6 @@ CacheStats::reset()
     depot_exchanges.reset();
     depot_miss_cold.reset();
     depot_miss_gp_pending.reset();
-    depot_prefills.reset();
-    depot_claim_hits.reset();
-    depot_harvests_ahead.reset();
     slabs.reset();
     live_objects.reset();
     deferred_outstanding.reset();
@@ -104,9 +101,6 @@ snapshot_cache_stats(const CacheStats& stats, const std::string& name,
     s.depot_exchanges = stats.depot_exchanges.get();
     s.depot_miss_cold = stats.depot_miss_cold.get();
     s.depot_miss_gp_pending = stats.depot_miss_gp_pending.get();
-    s.depot_prefills = stats.depot_prefills.get();
-    s.depot_claim_hits = stats.depot_claim_hits.get();
-    s.depot_harvests_ahead = stats.depot_harvests_ahead.get();
     s.current_slabs = stats.slabs.get();
     s.peak_slabs = stats.slabs.peak();
     s.live_objects = stats.live_objects.get();

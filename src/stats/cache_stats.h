@@ -58,21 +58,12 @@ struct CacheStats
     /// flushes + deferral spills served by one CAS, no lock).
     Counter depot_exchanges;
     /// Depot refill misses with the deferred stack empty too: nothing
-    /// cached anywhere, a genuinely cold refill (prefill's target).
+    /// cached anywhere, a genuinely cold refill.
     Counter depot_miss_cold;
     /// Depot refill misses where deferred blocks exist but every
-    /// scanned one is still inside its grace period (harvest-ahead's
-    /// target): the prudence window outran the full stack.
+    /// scanned one is still inside its grace period: the prudence
+    /// window outran the full stack.
     Counter depot_miss_gp_pending;
-    /// Cold refills served by slab-side block prefill: one node-lock
-    /// acquisition filled a batch of depot blocks from freelists.
-    Counter depot_prefills;
-    /// Depot refills served from the per-CPU claim ring (no shared
-    /// Treiber stack touched).
-    Counter depot_claim_hits;
-    /// Deferred blocks promoted to full by the harvest-ahead trigger
-    /// (hot-path low-watermark check or governor harvest_depot).
-    Counter depot_harvests_ahead;
     /// Slabs currently allocated / high-water mark (Fig. 10).
     PeakGauge slabs;
     /// Objects currently handed out to users / high-water mark.
@@ -110,9 +101,6 @@ struct CacheStatsSnapshot
     std::uint64_t depot_exchanges = 0;
     std::uint64_t depot_miss_cold = 0;
     std::uint64_t depot_miss_gp_pending = 0;
-    std::uint64_t depot_prefills = 0;
-    std::uint64_t depot_claim_hits = 0;
-    std::uint64_t depot_harvests_ahead = 0;
     std::int64_t current_slabs = 0;
     std::int64_t peak_slabs = 0;
     std::int64_t live_objects = 0;

@@ -53,7 +53,6 @@ struct RecordingActuators : Actuators
     /// Poll-safe progress signal for threaded tests: the vectors
     /// above may only be read after gov->stop() joins the loop.
     std::atomic<std::size_t> pace_count{0};
-    int depot_harvests = 0;
     int reclaims = 0;
     int refuse_remaining = 0;
 
@@ -98,14 +97,6 @@ struct RecordingActuators : Actuators
         if (refuse())
             return false;
         depot_trims.push_back(keep_blocks);
-        return true;
-    }
-    bool
-    harvest_depot() override
-    {
-        if (refuse())
-            return false;
-        ++depot_harvests;
         return true;
     }
     bool
@@ -512,7 +503,7 @@ TEST(GovernorConfigTest, DefaultSchemesCoverTheStockRules)
     DefaultSchemeTuning tuning;
     tuning.prefix = "p.";
     auto schemes = default_schemes(tuning);
-    ASSERT_EQ(schemes.size(), 6u);
+    ASSERT_EQ(schemes.size(), 5u);
     EXPECT_EQ(schemes[0].probe, "p.alloc.latent_bytes");
     EXPECT_EQ(schemes[0].action, ActionId::kExpediteGp);
     EXPECT_EQ(schemes[1].probe, "p.age.deferred_p99_ns");
@@ -522,9 +513,6 @@ TEST(GovernorConfigTest, DefaultSchemesCoverTheStockRules)
     EXPECT_EQ(schemes[3].action, ActionId::kTrimPcp);
     EXPECT_EQ(schemes[4].probe, "p.alloc.depot_full_objects");
     EXPECT_EQ(schemes[4].action, ActionId::kTrimDepot);
-    EXPECT_EQ(schemes[5].probe, "p.alloc.depot_full_objects");
-    EXPECT_EQ(schemes[5].cmp, Scheme::Cmp::kBelow);
-    EXPECT_EQ(schemes[5].action, ActionId::kHarvestDepot);
     for (const Scheme& s : schemes) {
         EXPECT_TRUE(s.enabled);
         EXPECT_GT(s.rearm, 0u);

@@ -468,15 +468,16 @@ TEST(Depot, ExchangeHammerOversubscribed)
             << "hammer never exchanged through the depot";
 }
 
-TEST(Depot, HarvestAheadNeverPromotesOpenGracePeriodBlock)
+TEST(Depot, RipeBlockPathsNeverReuseOpenGracePeriodBlock)
 {
-    // Harvest-ahead promotes ripe deferred blocks on the refill fast
-    // path — "ripe" meaning the stamped grace period has completed.
-    // With the grace period held open, no amount of refill pressure
-    // may move a deferred object back into circulation; once the
-    // period closes, the same pressure must promote. The model
-    // checker (when built in) independently verifies the first half:
-    // any early reuse trips reuse_before_grace_period.
+    // Two paths turn a deferred depot block back into reusable
+    // objects: the bounded scan in a missing refill
+    // (depot_pop_reusable) and the sweep behind trim_depot and the
+    // maintenance tick (depot_harvest_safe). While the grace period is
+    // open, neither may hand out or promote a deferred object, no
+    // matter how hard it is driven; once the period closes, each must.
+    // The model checker (when built in) independently flags any early
+    // reuse as reuse_before_grace_period.
     ManualRcuDomain domain;
 #if defined(PRUDENCE_SIM_ENABLED)
     sim::ModelChecker model;
@@ -488,251 +489,105 @@ TEST(Depot, HarvestAheadNeverPromotesOpenGracePeriodBlock)
     sched.start(/*site_mask=*/0, /*base_delay_ns=*/0);
 #endif
     {
-        PrudenceConfig cfg = lockfree_config(true);
-        // Watermark above the budget: EVERY full-stack pop triggers a
-        // harvest-ahead attempt while deferred blocks exist. Claim
-        // rings off so refills actually reach the full stack.
-        cfg.harvest_low_blocks = 1000;
-        cfg.depot_claim_blocks = 0;
-        PrudenceAllocator alloc(domain, cfg);
-        CacheId id = alloc.create_cache("harvest", 64);
+        PrudenceAllocator alloc(domain, lockfree_config(true));
+        CacheId id = alloc.create_cache("ripe", 64);
 
-        std::set<void*> deferred;
-        for (int i = 0; i < 64; ++i) {
-            void* p = alloc.cache_alloc(id);
-            ASSERT_NE(p, nullptr);
-            deferred.insert(p);
-        }
-        for (void* p : deferred)
-            alloc.cache_free_deferred(id, p);
+        auto defer_batch = [&alloc, id](std::set<void*>& out) {
+            std::vector<void*> batch;
+            for (int i = 0; i < 64; ++i) {
+                void* p = alloc.cache_alloc(id);
+                ASSERT_NE(p, nullptr);
+                batch.push_back(p);
+            }
+            for (void* p : batch) {
+                out.insert(p);
+                alloc.cache_free_deferred(id, p);
+            }
+            alloc.drain_thread();
+        };
+        // Allocate @p n objects and free them again; @return how many
+        // of them came from @p deferred.
+        auto churn = [&alloc, id](const std::set<void*>& deferred,
+                                  int n) {
+            std::vector<void*> pool;
+            std::size_t hits = 0;
+            for (int i = 0; i < n; ++i) {
+                void* q = alloc.cache_alloc(id);
+                if (q == nullptr) {
+                    ADD_FAILURE() << "alloc failed";
+                    break;
+                }
+                hits += deferred.count(q);
+                pool.push_back(q);
+            }
+            for (void* q : pool)
+                alloc.cache_free(id, q);
+            return hits;
+        };
+
+        // A fresh cache misses cold: nothing full, nothing deferred.
+        std::set<void*> first;
+        defer_batch(first);
+        CacheStatsSnapshot s0 = alloc.cache_snapshot(id);
+        EXPECT_GT(s0.depot_miss_cold, 0u);
+        EXPECT_EQ(s0.depot_miss_gp_pending, 0u)
+                << "cold cache attributed misses to open grace periods";
+        std::size_t parked = alloc.depot_deferred_objects();
+        ASSERT_GT(parked, 0u);
+
+        // Grace period open. The refill scan sees the deferred blocks
+        // and must refuse them (a gp_pending miss, served from slabs).
+        EXPECT_EQ(churn(first, 8 * 64), 0u)
+                << "refill scan reused an open-grace-period object";
+        EXPECT_GT(alloc.cache_snapshot(id).depot_miss_gp_pending, 0u)
+                << "refills never scanned the deferred blocks";
+        // The sweep, through both of its callers, must leave every
+        // deferred block in place. Draining the magazine and then
+        // trim_depot(0) also empty the full stock, so the next refill
+        // has to scan the deferred stack.
         alloc.drain_thread();
-        ASSERT_GT(alloc.depot_deferred_objects(), 0u);
+        alloc.trim_depot(0);
+        alloc.maintenance_pass();
+        EXPECT_EQ(alloc.depot_deferred_objects(), parked)
+                << "sweep promoted an open-grace-period block";
+        EXPECT_EQ(alloc.depot_full_objects(), 0u);
 
-        // Build full-stack stock so refills pop full blocks (the
-        // harvest-ahead trigger) rather than missing outright.
-        std::vector<void*> pool;
-        for (int i = 0; i < 128; ++i)
-            pool.push_back(alloc.cache_alloc(id));
-        for (void* p : pool)
-            alloc.cache_free(id, p);
-        pool.clear();
-
-        // Grace period open: hammer the refill path. Every pop fires
-        // a harvest-ahead attempt; none may promote.
-        for (int round = 0; round < 8; ++round) {
-            for (int i = 0; i < 64; ++i) {
-                void* q = alloc.cache_alloc(id);
-                ASSERT_NE(q, nullptr);
-                EXPECT_EQ(deferred.count(q), 0u)
-                        << "open-grace-period object promoted";
-                pool.push_back(q);
-            }
-            for (void* q : pool)
-                alloc.cache_free(id, q);
-            pool.clear();
-        }
-        EXPECT_EQ(alloc.cache_snapshot(id).depot_harvests_ahead, 0u)
-                << "harvest-ahead promoted under an open grace period";
-
-        // Grace period closes: the same pressure must now promote.
+        // Grace period closed: the refill scan now reuses the blocks.
         domain.advance();
         domain.advance();
-        std::size_t reused = 0;
-        for (int round = 0; round < 8; ++round) {
-            for (int i = 0; i < 64; ++i) {
-                void* q = alloc.cache_alloc(id);
-                ASSERT_NE(q, nullptr);
-                reused += deferred.count(q);
-                pool.push_back(q);
-            }
-            for (void* q : pool)
-                alloc.cache_free(id, q);
-            pool.clear();
-        }
-        EXPECT_GT(alloc.cache_snapshot(id).depot_harvests_ahead, 0u)
-                << "ripe blocks never promoted";
-        EXPECT_GT(reused, 0u);
+        std::uint64_t merges = alloc.cache_snapshot(id).latent_merge_hits;
+        EXPECT_GT(churn(first, 64), 0u) << "refill scan never reused";
+        EXPECT_GT(alloc.cache_snapshot(id).latent_merge_hits, merges);
+
+        // A second batch, left to the sweep alone: nothing while the
+        // grace period is open, everything once it closes.
+        std::set<void*> second;
+        defer_batch(second);
+        parked = alloc.depot_deferred_objects();
+        ASSERT_GT(parked, 0u);
+        alloc.maintenance_pass();
+        EXPECT_EQ(alloc.depot_deferred_objects(), parked)
+                << "maintenance promoted an open-grace-period block";
+        domain.advance();
+        domain.advance();
+        alloc.maintenance_pass();
+        EXPECT_EQ(alloc.depot_deferred_objects(), 0u)
+                << "maintenance left ripe blocks unharvested";
+        EXPECT_GT(churn(second, 2 * 64), 0u)
+                << "harvested blocks never reached a refill";
+
         alloc.quiesce();
         EXPECT_EQ(alloc.validate(), "");
+        CacheStatsSnapshot s = alloc.cache_snapshot(id);
+        EXPECT_EQ(s.live_objects, 0);
+        EXPECT_EQ(s.deferred_outstanding, 0);
     }
 #if defined(PRUDENCE_SIM_ENABLED)
     sched.stop();
     sim::ModelChecker::install(nullptr);
     EXPECT_TRUE(model.violations().empty())
-            << "model checker flagged the harvest-ahead workload";
+            << "model checker flagged a ripe-block path";
 #endif
-}
-
-TEST(Depot, PrefillAccountingExactAtQuiesce)
-{
-    // Slab-side prefill moves whole blocks' worth of objects from
-    // slab freelists into the depot in one shot — the easiest place
-    // to leak an accounting delta. Drive a cold cache through the
-    // prefill path, then check every identity validate() knows about,
-    // plus exact live-object counts, at mid-run and at quiesce.
-    ManualRcuDomain domain;
-    PrudenceConfig cfg = lockfree_config(true);
-    cfg.depot_prefill_blocks = 4;
-    PrudenceAllocator alloc(domain, cfg);
-    CacheId id = alloc.create_cache("prefill", 64);
-
-    // Cold start: the first refills miss (nothing deferred, nothing
-    // full) and must come back through depot_prefill.
-    std::vector<void*> pool;
-    for (int i = 0; i < 200; ++i) {
-        void* p = alloc.cache_alloc(id);
-        ASSERT_NE(p, nullptr);
-        pool.push_back(p);
-    }
-    CacheStatsSnapshot mid = alloc.cache_snapshot(id);
-    EXPECT_GT(mid.depot_prefills, 0u) << "cold refills skipped prefill";
-    EXPECT_GT(mid.depot_miss_cold, 0u);
-    EXPECT_EQ(mid.depot_miss_gp_pending, 0u)
-            << "cold cache attributed misses to open grace periods";
-    EXPECT_EQ(mid.live_objects, static_cast<std::int64_t>(pool.size()));
-    EXPECT_EQ(alloc.validate(), "");
-
-    // Free everything back and quiesce: prefilled objects must drain
-    // to exactly zero live / zero deferred, identities intact.
-    for (void* p : pool)
-        alloc.cache_free(id, p);
-    domain.advance();
-    alloc.quiesce();
-    EXPECT_EQ(alloc.validate(), "");
-    CacheStatsSnapshot s = alloc.cache_snapshot(id);
-    EXPECT_EQ(s.live_objects, 0);
-    EXPECT_EQ(s.deferred_outstanding, 0);
-}
-
-TEST(Depot, ClaimRingToggleOffParity)
-{
-    // depot_claim_blocks = 0 must fall back to the shared stacks with
-    // identical externally visible behavior; only the enabled leg may
-    // record claim hits.
-    auto run = [](std::size_t claim_blocks) -> std::uint64_t {
-        ManualRcuDomain domain;
-        PrudenceConfig cfg = lockfree_config(true);
-        cfg.depot_claim_blocks = claim_blocks;
-        PrudenceAllocator alloc(domain, cfg);
-        CacheId id = alloc.create_cache("claim", 64);
-        std::vector<void*> pool;
-        for (int round = 0; round < 60; ++round) {
-            for (int i = 0; i < 32; ++i) {
-                void* p = alloc.cache_alloc(id);
-                if (p == nullptr) {
-                    ADD_FAILURE() << "alloc failed";
-                    return 0;
-                }
-                pool.push_back(p);
-            }
-            for (void* p : pool)
-                alloc.cache_free(id, p);
-            pool.clear();
-        }
-        domain.advance();
-        alloc.quiesce();
-        EXPECT_EQ(alloc.validate(), "");
-        CacheStatsSnapshot s = alloc.cache_snapshot(id);
-        EXPECT_EQ(s.live_objects, 0);
-        if (claim_blocks == 0) {
-            EXPECT_EQ(s.depot_claim_hits, 0u)
-                    << "claim hits with the ring disabled";
-        } else {
-            EXPECT_GT(s.depot_claim_hits, 0u)
-                    << "ring enabled but never claimed";
-        }
-        return s.alloc_calls;
-    };
-    std::uint64_t with_ring = run(2);
-    std::uint64_t without = run(0);
-    EXPECT_EQ(with_ring, without) << "legs diverged on op count";
-}
-
-TEST(Depot, ResidualMechanismHammerOversubscribed)
-{
-    // TSan target: oversubscribed alloc/free/defer churn across every
-    // combination of the three residual-miss mechanisms (harvest-ahead,
-    // slab-side prefill, claim ring). Each leg must quiesce to exact
-    // accounting; mechanisms may only change how refills are served,
-    // never what the workload observes.
-    struct Combo
-    {
-        bool harvest;
-        std::size_t prefill;
-        std::size_t claim;
-    };
-    const Combo combos[] = {
-        {true, 4, 2},   // all on (defaults)
-        {false, 0, 0},  // all off: PR 8 depot behavior
-        {true, 0, 0},   // harvest-ahead alone
-        {false, 4, 2},  // prefill + claim without harvest-ahead
-    };
-    unsigned hw = std::thread::hardware_concurrency();
-    unsigned n = std::min(16u, std::max(4u, hw * 2));
-
-    for (const Combo& combo : combos) {
-        RcuConfig rcfg;
-        rcfg.gp_interval = std::chrono::microseconds{50};
-        RcuDomain domain(rcfg);
-        PrudenceConfig cfg;
-        cfg.arena_bytes = 128 << 20;
-        cfg.cpus = 4;
-        cfg.magazine_capacity = 16;
-        cfg.lockfree_pcpu = true;
-        cfg.maintenance_interval = std::chrono::microseconds{200};
-        cfg.harvest_ahead = combo.harvest;
-        cfg.depot_prefill_blocks = combo.prefill;
-        cfg.depot_claim_blocks = combo.claim;
-        PrudenceAllocator alloc(domain, cfg);
-        CacheId id = alloc.create_cache("residual", 128);
-
-        std::vector<std::thread> threads;
-        for (unsigned t = 0; t < n; ++t) {
-            threads.emplace_back([&alloc, id, t] {
-                std::vector<void*> pool;
-                unsigned state = t * 2654435761u + 1;
-                for (int i = 0; i < 4000; ++i) {
-                    state = state * 1664525u + 1013904223u;
-                    unsigned action = (state >> 16) % 4;
-                    if (action < 2 || pool.empty()) {
-                        if (void* p = alloc.cache_alloc(id)) {
-                            std::memset(p, static_cast<int>(t), 16);
-                            pool.push_back(p);
-                        }
-                    } else if (action == 2) {
-                        alloc.cache_free(id, pool.back());
-                        pool.pop_back();
-                    } else {
-                        alloc.cache_free_deferred(id, pool.back());
-                        pool.pop_back();
-                    }
-                }
-                for (void* p : pool)
-                    alloc.cache_free(id, p);
-                alloc.drain_thread();
-            });
-        }
-        for (auto& th : threads)
-            th.join();
-
-        alloc.quiesce();
-        EXPECT_EQ(alloc.validate(), "")
-                << "harvest=" << combo.harvest
-                << " prefill=" << combo.prefill
-                << " claim=" << combo.claim;
-        CacheStatsSnapshot s = alloc.cache_snapshot(id);
-        EXPECT_EQ(s.live_objects, 0);
-        EXPECT_EQ(s.deferred_outstanding, 0);
-        if (combo.claim == 0) {
-            EXPECT_EQ(s.depot_claim_hits, 0u);
-        }
-        if (combo.prefill == 0) {
-            EXPECT_EQ(s.depot_prefills, 0u);
-        }
-        if (!combo.harvest) {
-            EXPECT_EQ(s.depot_harvests_ahead, 0u);
-        }
-    }
 }
 
 TEST(Depot, TrimDepotReleasesRetainedFullBlocks)

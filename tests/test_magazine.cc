@@ -31,10 +31,7 @@ namespace prudence {
 namespace {
 
 /// Deterministic setup: manual epochs, one virtual CPU, no background
-/// maintenance, magazines of the given depth. Slab-side block prefill
-/// is disabled so cold refills take the legacy locked path whose
-/// batch policy these tests pin; the whole-block prefill path is
-/// covered in test_lockfree.cc.
+/// maintenance, magazines of the given depth.
 PrudenceConfig
 mag_config(std::size_t capacity)
 {
@@ -43,7 +40,6 @@ mag_config(std::size_t capacity)
     cfg.cpus = 1;
     cfg.maintenance_interval = std::chrono::microseconds{0};
     cfg.magazine_capacity = capacity;
-    cfg.depot_prefill_blocks = 0;
     return cfg;
 }
 

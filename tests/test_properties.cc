@@ -31,6 +31,12 @@ namespace {
 
 enum class Kind { kSlub, kPrudence };
 
+const char*
+kind_name(Kind kind)
+{
+    return kind == Kind::kSlub ? "slub" : "prudence";
+}
+
 struct Params
 {
     Kind kind;
@@ -38,12 +44,20 @@ struct Params
     std::size_t object_size;
 };
 
+// gtest prints a parameter into the discovered test name; without this
+// overload it dumps Params' raw bytes, uninitialised padding included.
+void
+PrintTo(const Params& p, std::ostream* os)
+{
+    *os << "{" << kind_name(p.kind) << ", seed=" << p.seed
+        << ", size=" << p.object_size << "}";
+}
+
 std::string
 param_name(const ::testing::TestParamInfo<Params>& info)
 {
-    return std::string(info.param.kind == Kind::kSlub ? "slub"
-                                                      : "prudence") +
-           "_seed" + std::to_string(info.param.seed) + "_size" +
+    return std::string(kind_name(info.param.kind)) + "_seed" +
+           std::to_string(info.param.seed) + "_size" +
            std::to_string(info.param.object_size);
 }
 
@@ -366,10 +380,8 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_pair(Kind::kPrudence, 11ull),
                       std::make_pair(Kind::kPrudence, 12ull)),
     [](const auto& info) {
-        return std::string(info.param.first == Kind::kSlub
-                               ? "slub"
-                               : "prudence") +
-               "_seed" + std::to_string(info.param.second);
+        return std::string(kind_name(info.param.first)) + "_seed" +
+               std::to_string(info.param.second);
     });
 
 }  // namespace

@@ -245,6 +245,25 @@ struct ClampCase
     double expect_to;    ///< value after clamping
 };
 
+// Printed into the discovered test name; the default would dump raw
+// bytes, the two pointers included.
+void
+PrintTo(const ClampCase& c, std::ostream* os)
+{
+    *os << c.field << ": " << c.expect_from << " clamped to "
+        << c.expect_to;
+}
+
+/// "<field>_low" when the clamp raised the value, "<field>_high" when
+/// it lowered it.
+std::string
+clamp_case_name(const ::testing::TestParamInfo<ClampCase>& info)
+{
+    const ClampCase& c = info.param;
+    return std::string(c.field) +
+           (c.expect_to > c.expect_from ? "_low" : "_high");
+}
+
 class ScenarioClamp : public ::testing::TestWithParam<ClampCase>
 {};
 
@@ -297,7 +316,8 @@ INSTANTIATE_TEST_SUITE_P(
                   4096},
         ClampCase{"request_bytes = 8\n", "request_bytes", 8, 16},
         ClampCase{"request_bytes = 10000\n", "request_bytes", 10000,
-                  4096}));
+                  4096}),
+    clamp_case_name);
 
 TEST(ScenarioClampRules, BurstLenIsBoundedByBurstPeriod)
 {

@@ -91,13 +91,6 @@ struct Options
     /// Lock-free per-CPU caches + magazine depot (DESIGN.md §14):
     /// -1 = build default, 0 = legacy spinlock leg, 1 = lock-free leg.
     int lockfree_pcpu = -1;
-    /// Residual depot-miss mechanisms (DESIGN.md §14): each is
-    /// -1 = build default, otherwise the config value. harvest-ahead
-    /// and the claim ring apply to the prudence allocator; prefill
-    /// applies to both allocators.
-    int harvest_ahead = -1;
-    int depot_prefill = -1;
-    int claim_ring = -1;
     bool expect_stall = false;
     /// Stop after this many updates instead of after --duration
     /// (0 = duration-bounded).
@@ -158,15 +151,6 @@ usage(const char* argv0)
         "per-CPU\n"
         "                           caches + depot (1); default = "
         "build default\n"
-        "  --harvest-ahead=0|1      hot-path promotion of ripe "
-        "deferred depot\n"
-        "                           blocks; default = build default\n"
-        "  --depot-prefill=N        whole blocks per slab-side cold "
-        "refill, 0 = off;\n"
-        "                           default = build default\n"
-        "  --claim-ring=N           per-CPU claimed-block ring depth, "
-        "0 = off;\n"
-        "                           default = build default\n"
         "  --pcp-batch=N            page-cache refill/drain batch "
         "(default 8)\n"
         "  --stall-threshold-ms=N   stall-detector threshold "
@@ -254,12 +238,6 @@ parse_options(int argc, char** argv, Options& opt)
             opt.pcp_batch = static_cast<std::size_t>(std::atoll(v));
         else if (flag_value(argv[i], "--lockfree-pcpu", &v))
             opt.lockfree_pcpu = std::atoi(v);
-        else if (flag_value(argv[i], "--harvest-ahead", &v))
-            opt.harvest_ahead = std::atoi(v);
-        else if (flag_value(argv[i], "--depot-prefill", &v))
-            opt.depot_prefill = std::atoi(v);
-        else if (flag_value(argv[i], "--claim-ring", &v))
-            opt.claim_ring = std::atoi(v);
         else if (flag_value(argv[i], "--stall-threshold-ms", &v))
             opt.stall_threshold_ms = std::strtoull(v, nullptr, 0);
         else if (std::strcmp(argv[i], "--expect-stall") == 0)
@@ -861,9 +839,6 @@ main(int argc, char** argv)
         cfg.pcp_batch = opt.pcp_batch;
         if (opt.lockfree_pcpu >= 0)
             cfg.lockfree_pcpu = opt.lockfree_pcpu != 0;
-        if (opt.depot_prefill >= 0)
-            cfg.depot_prefill_blocks =
-                static_cast<std::size_t>(opt.depot_prefill);
         auto owned = std::make_unique<prudence::SlubAllocator>(domain, cfg);
         slub = owned.get();
         alloc = std::move(owned);
@@ -875,14 +850,6 @@ main(int argc, char** argv)
         cfg.pcp_batch = opt.pcp_batch;
         if (opt.lockfree_pcpu >= 0)
             cfg.lockfree_pcpu = opt.lockfree_pcpu != 0;
-        if (opt.harvest_ahead >= 0)
-            cfg.harvest_ahead = opt.harvest_ahead != 0;
-        if (opt.depot_prefill >= 0)
-            cfg.depot_prefill_blocks =
-                static_cast<std::size_t>(opt.depot_prefill);
-        if (opt.claim_ring >= 0)
-            cfg.depot_claim_blocks =
-                static_cast<std::size_t>(opt.claim_ring);
         if (opt.deterministic)
             cfg.maintenance_interval = std::chrono::microseconds(0);
         alloc =

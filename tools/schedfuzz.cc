@@ -70,11 +70,6 @@ struct Options
     /// Lock-free per-CPU caches + depot (DESIGN.md §14): -1 = build
     /// default, 0 = legacy spinlock leg, 1 = lock-free leg.
     int lockfree_pcpu = -1;
-    /// Residual depot-miss mechanisms (DESIGN.md §14): each is
-    /// -1 = build default, otherwise the config value.
-    int harvest_ahead = -1;
-    int depot_prefill = -1;
-    int claim_ring = -1;
     std::uint64_t base_delay_ns = 50'000;
     bool self_test = false;
     bool shrink = true;
@@ -162,12 +157,6 @@ parse_options(int argc, char** argv)
             o.pcp_high_watermark = std::strtoull(v, nullptr, 10);
         else if (const char* v = flag_value(a, "--lockfree-pcpu"))
             o.lockfree_pcpu = std::atoi(v);
-        else if (const char* v = flag_value(a, "--harvest-ahead"))
-            o.harvest_ahead = std::atoi(v);
-        else if (const char* v = flag_value(a, "--depot-prefill"))
-            o.depot_prefill = std::atoi(v);
-        else if (const char* v = flag_value(a, "--claim-ring"))
-            o.claim_ring = std::atoi(v);
         else if (const char* v = flag_value(a, "--base-delay-ns"))
             o.base_delay_ns = std::strtoull(v, nullptr, 10);
         else if (const char* v = flag_value(a, "--report"))
@@ -184,9 +173,6 @@ parse_options(int argc, char** argv)
                 "                 [--magazine-capacity=N]\n"
                 "                 [--pcp-high-watermark=N]\n"
                 "                 [--lockfree-pcpu=0|1]\n"
-                "                 [--harvest-ahead=0|1] "
-                "[--depot-prefill=N]\n"
-                "                 [--claim-ring=N]\n"
                 "                 [--base-delay-ns=N] [--report=FILE]\n"
                 "                 [--self-test] [--no-shrink]\n");
             std::exit(0);
@@ -231,13 +217,6 @@ run_one(std::uint64_t seed, std::uint32_t sites, const Options& o)
     pcfg.pcp_high_watermark = o.pcp_high_watermark;
     if (o.lockfree_pcpu >= 0)
         pcfg.lockfree_pcpu = o.lockfree_pcpu != 0;
-    if (o.harvest_ahead >= 0)
-        pcfg.harvest_ahead = o.harvest_ahead != 0;
-    if (o.depot_prefill >= 0)
-        pcfg.depot_prefill_blocks =
-            static_cast<std::size_t>(o.depot_prefill);
-    if (o.claim_ring >= 0)
-        pcfg.depot_claim_blocks = static_cast<std::size_t>(o.claim_ring);
     pcfg.maintenance_interval = std::chrono::microseconds(100);
     PrudenceAllocator alloc(domain, pcfg);
 
@@ -346,12 +325,6 @@ print_failure(std::uint64_t seed, std::uint32_t sites,
         std::printf(" --pcp-high-watermark=%zu", o.pcp_high_watermark);
     if (o.lockfree_pcpu >= 0)
         std::printf(" --lockfree-pcpu=%d", o.lockfree_pcpu != 0 ? 1 : 0);
-    if (o.harvest_ahead >= 0)
-        std::printf(" --harvest-ahead=%d", o.harvest_ahead != 0 ? 1 : 0);
-    if (o.depot_prefill >= 0)
-        std::printf(" --depot-prefill=%d", o.depot_prefill);
-    if (o.claim_ring >= 0)
-        std::printf(" --claim-ring=%d", o.claim_ring);
     std::printf("\n");
 }
 
