@@ -114,8 +114,6 @@ main(int argc, char** argv)
          [](PrudenceConfig& c) { c.idle_preflush = false; }},
         {"-slab_premove",
          [](PrudenceConfig& c) { c.slab_premove = false; }},
-        {"-hinted_slab_selection",
-         [](PrudenceConfig& c) { c.hinted_slab_selection = false; }},
     };
 
     std::cout << "# Ablation: each Prudence optimization disabled "

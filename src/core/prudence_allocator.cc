@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <initializer_list>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -522,7 +523,7 @@ PrudenceAllocator::refill(Cache& c, PerCpu& pc, GpEpoch completed)
                 slab = c.pool.grow();
                 if (slab == nullptr)
                     break;
-                node.move_to(slab, SlabListKind::kPartial);
+                node.move_to_partial_front(slab);
             }
             while (moved < want) {
                 void* obj = slab->freelist_pop();
@@ -542,89 +543,33 @@ PrudenceAllocator::refill(Cache& c, PerCpu& pc, GpEpoch completed)
 SlabHeader*
 PrudenceAllocator::select_slab(Cache& c, GpEpoch completed)
 {
+    // §4.2 "Reduces total fragmentation": oldest-first first fit over
+    // the partial list, then the free list, merging each slab's ripe
+    // latent entries on the way. A slab still unusable after its
+    // merge (no free object, deferrals inside their grace period)
+    // rotates to the tail, so the next scan starts at the slab
+    // checked longest ago instead of re-walking the same unusable
+    // prefix; one pass per list bounds the call. The slab returned
+    // (like a slab refill grows) heads the partial list, ahead of
+    // every slab just passed over, so the refills that drain it find
+    // it first.
     NodeLists& node = c.pool.node();
-
-    if (!config_.hinted_slab_selection) {
-        // Baseline rule: first usable partial slab, then a free slab.
+    for (SlabList* list : {&node.partial, &node.free}) {
         SlabHeader* found = nullptr;
-        node.partial.for_each([&](SlabHeader* slab) {
+        list->for_each([&](SlabHeader* slab) {
             merge_slab_latent(c, slab, completed);
-            if (slab->free_count > 0) {
-                found = slab;
-                return false;
-            }
-            return true;
-        });
-        if (found != nullptr)
-            return found;
-    } else {
-        // §4.2 "Reduces total fragmentation": scan a bounded prefix
-        // of the partial list; skip slabs whose allocated objects are
-        // mostly deferred (they are expected to become fully free);
-        // among the rest prefer the most-anchored slab so lightly
-        // used ones can drain empty.
-        SlabHeader* best = nullptr;
-        SlabHeader* fallback = nullptr;
-        long best_score = -1;
-        std::size_t scanned = 0;
-        node.partial.for_each([&](SlabHeader* slab) {
-            if (scanned++ >= config_.slab_scan_limit)
-                return false;
-            if (slab->deferred_count.load(std::memory_order_acquire) > 0)
-                merge_slab_latent(c, slab, completed);
             if (slab->free_count == 0)
                 return true;
-            std::uint32_t in_use = slab->in_use();
-            std::uint32_t deferred =
-                slab->deferred_count.load(std::memory_order_acquire);
-            // The skip-and-hope bet (Figure 5) only pays when the
-            // slab is meaningfully occupied AND mostly deferred;
-            // skipping nearly-empty slabs just forces growth and
-            // disperses the live set.
-            if (in_use >= slab->total_objects / 4 &&
-                static_cast<double>(deferred) >=
-                    config_.skip_slab_deferred_ratio *
-                        static_cast<double>(in_use)) {
-                // Expected to become free after the grace period —
-                // usable only if nothing better exists (the paper's
-                // "unless it needs to grow the slab cache").
-                if (fallback == nullptr)
-                    fallback = slab;
-                return true;
-            }
-            long score = static_cast<long>(in_use) -
-                         static_cast<long>(deferred);
-            if (score > best_score) {
-                best_score = score;
-                best = slab;
-            }
-            return true;
-        });
-        if (best != nullptr)
-            return best;
-        if (fallback != nullptr)
-            return fallback;
-    }
-
-    // Free list: pre-moved slabs may still carry unsafe deferred
-    // objects and no free ones — skip those. FIFO ordering puts the
-    // longest-waiting (most likely grace-period-complete) slabs at
-    // the front, so a bounded scan finds a usable one when any
-    // exists.
-    SlabHeader* found = nullptr;
-    std::size_t scanned_free = 0;
-    node.free.for_each([&](SlabHeader* slab) {
-        if (scanned_free++ >= config_.slab_scan_limit)
-            return false;
-        if (slab->deferred_count.load(std::memory_order_acquire) > 0)
-            merge_slab_latent(c, slab, completed);
-        if (slab->free_count > 0) {
             found = slab;
             return false;
+        });
+        if (found != nullptr) {
+            list->rotate_to_front(found);
+            node.move_to_partial_front(found);
+            return found;
         }
-        return true;
-    });
-    return found;
+    }
+    return nullptr;
 }
 
 // ---------------------------------------------------------------------
@@ -899,8 +844,7 @@ PrudenceAllocator::shrink(Cache& c)
         node.free.for_each([&](SlabHeader* slab) {
             if (node.free.size() <= free_retention_limit(c))
                 return false;
-            if (slab->deferred_count.load(std::memory_order_acquire) > 0)
-                merge_slab_latent(c, slab, completed);
+            merge_slab_latent(c, slab, completed);
             if (slab->free_count == slab->total_objects) {
                 node.move_to(slab, SlabListKind::kNone);
                 victims.push_back(slab);
@@ -940,6 +884,8 @@ std::size_t
 PrudenceAllocator::merge_slab_latent(Cache& c, SlabHeader* slab,
                                      GpEpoch completed)
 {
+    if (slab->deferred_count.load(std::memory_order_acquire) == 0)
+        return 0;
     std::size_t merged = merge_safe_latent(slab, completed);
     if (merged > 0) {
         c.pool.stats().deferred_outstanding.sub(
@@ -1823,7 +1769,8 @@ PrudenceAllocator::maintenance_pass()
             // merging — already-drained slabs at the list front must
             // not starve deferred ones behind them. A separate visit
             // cap bounds the walk itself.
-            std::size_t budget = config_.slab_scan_limit * 2;
+            constexpr std::size_t kSweepMergeBudget = 20;
+            std::size_t budget = kSweepMergeBudget;
             std::size_t visits = 256;
             auto sweep = [&](SlabHeader* slab) {
                 if (budget == 0 || visits == 0)
@@ -1936,8 +1883,7 @@ PrudenceAllocator::reclaim_cache(Cache& c, bool fill_caches)
         node.partial.for_each(collect);
         node.free.for_each(collect);
         for (SlabHeader* slab : all) {
-            if (slab->deferred_count.load(std::memory_order_acquire) > 0)
-                merge_slab_latent(c, slab, completed);
+            merge_slab_latent(c, slab, completed);
             node.move_to(slab, NodeLists::deferred_aware_kind(slab));
         }
     }

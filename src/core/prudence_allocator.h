@@ -15,9 +15,10 @@
  *  - Refill and flush sizes account for latent occupancy; a
  *    maintenance thread pre-flushes latent caches during idle time;
  *    slabs are pre-moved between node lists when deferrals foreshadow
- *    the move; refill slab selection uses the deferred-object hints
- *    to reduce total fragmentation; and OOM falls back to waiting for
- *    a grace period while deferred memory is outstanding.
+ *    the move; refill takes the oldest slab that is usable once its
+ *    safe deferred objects merge, which keeps the cache from growing
+ *    while usable slabs remain; and OOM falls back to waiting for a
+ *    grace period while deferred memory is outstanding.
  *
  * This file implements Algorithm 1 of the paper; the function names
  * mirror the pseudocode (malloc → alloc_impl, FREE_DEFERRED →
@@ -327,8 +328,10 @@ class PrudenceAllocator final : public Allocator
     /// @return true when at least one object was added.
     bool refill(Cache& c, PerCpu& pc, GpEpoch completed);
 
-    /// Select the refill source slab using deferred-object hints
-    /// (node lock held). May merge safe latent-slab entries.
+    /// The refill source: the oldest partial, else free, slab with a
+    /// free object after merging its safe latent entries, moved to
+    /// the head of the partial list; the unusable slabs passed over
+    /// rotate to their list's tail (node lock held).
     SlabHeader* select_slab(Cache& c, GpEpoch completed);
 
     /// Spill @p n cold objects to their slabs. Caller holds pc.lock.
@@ -358,7 +361,8 @@ class PrudenceAllocator final : public Allocator
     /// Move a deferred object into its slab's latent ring.
     void push_to_latent_slab(Cache& c, void* obj, GpEpoch epoch);
 
-    /// merge_safe_latent + deferred accounting.
+    /// merge_safe_latent + deferred accounting (no slab lock taken
+    /// when the slab holds no deferred object).
     std::size_t merge_slab_latent(Cache& c, SlabHeader* slab,
                                   GpEpoch completed);
 

@@ -51,10 +51,6 @@ struct PrudenceConfig
     /// move (§4.2 "Slab pre-movement", Algorithm 1 lines 52-59).
     bool slab_premove = true;
 
-    /// Deferred-aware slab selection at refill (§4.2 "Reduces total
-    /// fragmentation", Algorithm 1 lines 17-21).
-    bool hinted_slab_selection = true;
-
     /// On OOM, wait a grace period and retry before failing when
     /// deferred objects are outstanding (§4.2 "Handling memory
     /// pressure", Algorithm 1 lines 31-32).
@@ -115,14 +111,6 @@ struct PrudenceConfig
     /// buddy-lock acquisition per batch). Clamped to
     /// [1, 64] and to pcp_high_watermark.
     std::size_t pcp_batch = 8;
-
-    /// Partial-list slabs examined when selecting a refill source
-    /// (§5.4: "Prudence traverses the first 10 slabs").
-    std::size_t slab_scan_limit = 10;
-
-    /// Skip a slab at selection when deferred/in-use reaches this
-    /// ratio (it is expected to become fully free).
-    double skip_slab_deferred_ratio = 0.75;
 
     /// Maintenance (pre-flush) thread period; zero disables the
     /// thread entirely (tests drive maintenance_pass() directly).

@@ -69,6 +69,24 @@ class SlabList
         --count_;
     }
 
+    /// Make @p slab (on this list) the front: the slabs ahead of it
+    /// move, in order, to the tail. O(1), whatever their number.
+    void
+    rotate_to_front(SlabHeader* slab)
+    {
+        SlabHeader* first = sentinel_.next;
+        if (slab == first)
+            return;
+        SlabHeader* last = slab->prev;
+        SlabHeader* tail = sentinel_.prev;
+        sentinel_.next = slab;
+        slab->prev = &sentinel_;
+        tail->next = first;
+        first->prev = tail;
+        last->next = &sentinel_;
+        sentinel_.prev = last;
+    }
+
     /// Iterate: fn(SlabHeader*) for each slab; stops early when fn
     /// returns false.
     template <typename Fn>
@@ -114,7 +132,7 @@ struct NodeLists
     /// already there. Every list is kept in FIFO order (append at the
     /// tail): the slabs that have waited longest — whose deferred
     /// objects are most likely past their grace period — surface at
-    /// the front of bounded refill scans and shrink passes.
+    /// the front of refill scans and shrink passes.
     void
     move_to(SlabHeader* slab, SlabListKind kind)
     {
@@ -125,6 +143,18 @@ struct NodeLists
         if (kind != SlabListKind::kNone)
             list_for(kind).push_back(slab);
         slab->list_kind = kind;
+    }
+
+    /// Move @p slab to the head of the partial list (node lock held):
+    /// the one exception to FIFO order, for the slab a refill draws
+    /// from, so the refills after it drain it first.
+    void
+    move_to_partial_front(SlabHeader* slab)
+    {
+        if (slab->list_kind != SlabListKind::kNone)
+            list_for(slab->list_kind).remove(slab);
+        partial.push_front(slab);
+        slab->list_kind = SlabListKind::kPartial;
     }
 
     /**
@@ -148,7 +178,7 @@ struct NodeLists
      * to come back (§4.2 pre-movement) — and a slab whose every
      * allocated object is deferred belongs on the free list. Slabs
      * carrying unmerged ring entries must stay visible to the
-     * bounded partial/free scans, or their memory is stranded.
+     * partial/free scans, or their memory is stranded.
      */
     static SlabListKind
     deferred_aware_kind(const SlabHeader* slab)

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <map>
 #include <set>
 #include <vector>
 
@@ -27,6 +28,35 @@ manual_config(std::size_t arena = 64 << 20)
     cfg.cpus = 1;
     cfg.maintenance_interval = std::chrono::microseconds{0};
     return cfg;
+}
+
+/// Index of the slab holding @p p (slabs are slab_bytes-aligned
+/// offsets into the arena).
+std::size_t
+slab_index(PrudenceAllocator& alloc, const SlabGeometry& g, void* p)
+{
+    return static_cast<std::size_t>(static_cast<std::byte*>(p) -
+                                    alloc.page_allocator().base()) /
+           g.slab_bytes;
+}
+
+/// Allocate until the next refill, then the rest of its @p batch
+/// objects (magazines off: the per-CPU cache is LIFO, so these are
+/// exactly the objects that refill moved).
+std::vector<void*>
+next_refill_batch(PrudenceAllocator& alloc, CacheId id,
+                  std::size_t batch)
+{
+    std::uint64_t refills = alloc.cache_snapshot(id).refills;
+    std::vector<void*> got;
+    while (alloc.cache_snapshot(id).refills == refills) {
+        void* p = alloc.cache_alloc(id);
+        EXPECT_NE(p, nullptr);
+        got.assign(1, p);
+    }
+    while (got.size() < batch)
+        got.push_back(alloc.cache_alloc(id));
+    return got;
 }
 
 TEST(Prudence, KmallocRoundTrip)
@@ -353,34 +383,153 @@ TEST(Prudence, QuiesceReclaimsEverything)
     EXPECT_TRUE(alloc.page_allocator().check_integrity());
 }
 
-TEST(Prudence, HintedSelectionAvoidsDeferredHeavySlabs)
+TEST(Prudence, RefillReusesSlabBehindUnusablePrefix)
 {
-    // Figure 5 scenario: slab B's live objects are all deferred; a
-    // refill should prefer other slabs so B can drain to empty and be
-    // released, reducing fragmentation.
+    // Eleven partial slabs with no free object and only unripe
+    // deferrals sit ahead of a partial slab with free objects. A
+    // refill must reach that slab rather than grow the cache, and the
+    // unusable prefix must rotate behind the slabs the next scan
+    // should see first.
     ManualRcuDomain domain;
     PrudenceConfig cfg = manual_config();
+    cfg.magazine_capacity = 0;  // per-CPU caches only: exact refills
     PrudenceAllocator alloc(domain, cfg);
-    CacheId id = alloc.create_cache("fig5", 1024);
-    std::size_t per_slab = compute_slab_geometry(1024).objects_per_slab;
+    constexpr std::size_t kSize = 384;
+    CacheId id = alloc.create_cache("rotate", kSize);
+    const SlabGeometry g = compute_slab_geometry(kSize);
+    const std::size_t per_slab = g.objects_per_slab;
+    // Refills then take whole slabs, so every allocated slab ends up
+    // full and the object cache empty.
+    ASSERT_EQ(g.refill_target % per_slab, 0u);
 
-    // Allocate three slabs' worth.
-    std::vector<void*> objs;
-    for (std::size_t i = 0; i < per_slab * 3; ++i)
-        objs.push_back(alloc.cache_alloc(id));
-    // Defer everything (slabs become premoved free candidates).
-    for (void* p : objs)
-        alloc.cache_free_deferred(id, p);
+    // 11 unusable slabs, the target slab, and 6 filler slabs.
+    constexpr std::size_t kUnusable = 11;
+    constexpr std::size_t kFillers = 6;
+    constexpr std::size_t kSlabs = kUnusable + 1 + kFillers;
+    std::map<std::size_t, std::vector<void*>> by_slab;
+    for (std::size_t i = 0; i < kSlabs * per_slab; ++i) {
+        void* p = alloc.cache_alloc(id);
+        ASSERT_NE(p, nullptr);
+        by_slab[slab_index(alloc, g, p)].push_back(p);
+    }
+    ASSERT_EQ(by_slab.size(), kSlabs);
+    std::vector<std::vector<void*>> slabs;
+    for (auto& kv : by_slab)
+        slabs.push_back(kv.second);
+    std::set<std::size_t> unusable;
+    for (std::size_t s = 0; s < kUnusable; ++s)
+        unusable.insert(slab_index(alloc, g, slabs[s][0]));
+    const std::vector<void*>& target = slabs[kUnusable];
+
+    // Defer five objects of each unusable slab, round-robin. The
+    // latent cache overflows on the last one and spills its oldest
+    // half to the slabs' latent rings, pre-moving all eleven from
+    // the full list to the partial list, in order.
+    for (std::size_t round = 0; round < 5; ++round) {
+        for (std::size_t s = 0; s < kUnusable; ++s)
+            alloc.cache_free_deferred(id, slabs[s].at(round));
+    }
+    ASSERT_EQ(alloc.cache_snapshot(id).premoves, kUnusable);
+
+    // Free all but one target object, then filler objects until the
+    // object cache overflows: the flush returns the target's objects
+    // first, appending it to the partial list behind the unusable
+    // slabs, then the fillers' (each keeps one live object).
+    std::vector<void*> frees(target.begin() + 1, target.end());
+    for (std::size_t k = 1; frees.size() <= g.cache_capacity; ++k) {
+        for (std::size_t f = 0; f < kFillers &&
+                                frees.size() <= g.cache_capacity;
+             ++f) {
+            frees.push_back(slabs[kUnusable + 1 + f].at(k));
+        }
+    }
+    for (void* p : frees)
+        alloc.cache_free(id, p);
+    ASSERT_EQ(alloc.cache_snapshot(id).flushes, 1u);
+    // Empty the object cache of the one object freed after the flush.
+    ASSERT_EQ(alloc.cache_alloc(id), frees.back());
+
+    const auto before = alloc.cache_snapshot(id);
+    std::vector<void*> first = next_refill_batch(alloc, id, g.refill_target);
+    std::set<void*> got(first.begin(), first.end());
+    for (std::size_t i = 1; i < target.size(); ++i)
+        EXPECT_TRUE(got.count(target[i])) << "target object " << i;
+    EXPECT_EQ(alloc.cache_snapshot(id).grows, before.grows);
+
+    // Every unusable slab's deferrals ripen. The next scan starts at
+    // the fillers the first refill left partial, not at the rotated
+    // slabs that would now be usable too.
     domain.advance();
-    alloc.quiesce();
-    auto s = alloc.cache_snapshot(id);
-    // All three slabs' objects were reclaimable; fragmentation-aware
-    // shrink releases the excess ones.
-    EXPECT_EQ(s.deferred_outstanding, 0);
-    EXPECT_LE(s.current_slabs,
-              static_cast<std::int64_t>(
-                  compute_slab_geometry(1024).free_slab_limit) +
-                  2);
+    std::vector<void*> second =
+        next_refill_batch(alloc, id, g.refill_target);
+    for (void* p : second)
+        EXPECT_EQ(unusable.count(slab_index(alloc, g, p)), 0u);
+    EXPECT_EQ(alloc.cache_snapshot(id).grows, before.grows);
+    EXPECT_EQ(alloc.validate(), "");
+}
+
+TEST(Prudence, GrownSlabHeadsThePartialList)
+{
+    // Every partial slab is unusable, so a refill grows. The grown
+    // slab keeps free objects after that refill and must head the
+    // partial list: once the unusable slabs ripen, the next refill
+    // still drains the grown slab first instead of re-walking them.
+    ManualRcuDomain domain;
+    PrudenceConfig cfg = manual_config();
+    cfg.magazine_capacity = 0;  // per-CPU caches only: exact refills
+    PrudenceAllocator alloc(domain, cfg);
+    constexpr std::size_t kSize = 32;
+    CacheId id = alloc.create_cache("grow_front", kSize);
+    const SlabGeometry g = compute_slab_geometry(kSize);
+    const std::size_t per_slab = g.objects_per_slab;
+    const std::size_t batch = g.refill_target;
+    ASSERT_GT(per_slab, batch);
+
+    // Allocate until the refills end on a slab boundary: every slab
+    // full, object cache empty.
+    std::size_t n = batch;
+    while (n % per_slab != 0)
+        n += batch;
+    std::map<std::size_t, std::vector<void*>> by_slab;
+    for (std::size_t i = 0; i < n; ++i) {
+        void* p = alloc.cache_alloc(id);
+        ASSERT_NE(p, nullptr);
+        by_slab[slab_index(alloc, g, p)].push_back(p);
+    }
+    ASSERT_EQ(by_slab.size(), n / per_slab);
+
+    // Defer round-robin from eleven slabs until the latent cache
+    // overflows into their latent rings and pre-moves all of them to
+    // the partial list, where they hold no free object.
+    constexpr std::size_t kUnusable = 11;
+    std::vector<std::vector<void*>*> unusable;
+    for (auto& kv : by_slab) {
+        if (unusable.size() < kUnusable)
+            unusable.push_back(&kv.second);
+    }
+    for (std::size_t round = 0;
+         alloc.cache_snapshot(id).premoves < kUnusable; ++round) {
+        ASSERT_LT(round + 1, per_slab);
+        for (std::vector<void*>* objs : unusable)
+            alloc.cache_free_deferred(id, (*objs)[round]);
+    }
+    ASSERT_EQ(alloc.cache_snapshot(id).premoves, kUnusable);
+
+    const std::uint64_t grows = alloc.cache_snapshot(id).grows;
+    std::vector<void*> first = next_refill_batch(alloc, id, batch);
+    EXPECT_EQ(alloc.cache_snapshot(id).grows, grows + 1);
+    const std::size_t grown = slab_index(alloc, g, first[0]);
+    for (void* p : first)
+        EXPECT_EQ(slab_index(alloc, g, p), grown);
+
+    domain.advance();
+    std::vector<void*> second = next_refill_batch(alloc, id, batch);
+    std::size_t from_grown = 0;
+    for (void* p : second)
+        from_grown += slab_index(alloc, g, p) == grown ? 1 : 0;
+    EXPECT_EQ(from_grown, per_slab - batch);
+    EXPECT_EQ(alloc.cache_snapshot(id).grows, grows + 1);
+    EXPECT_EQ(alloc.validate(), "");
 }
 
 TEST(Prudence, AblationSwitchesStillCorrect)
@@ -394,7 +543,6 @@ TEST(Prudence, AblationSwitchesStillCorrect)
     cfg.sized_flush = false;
     cfg.idle_preflush = false;
     cfg.slab_premove = false;
-    cfg.hinted_slab_selection = false;
     cfg.oom_deferral = false;
     PrudenceAllocator alloc(domain, cfg);
     CacheId id = alloc.create_cache("ablated", 128);

@@ -247,6 +247,47 @@ TEST(NodeLists, ForEachSurvivesUnlinking)
         pool.release_slab(s);
 }
 
+TEST(NodeLists, RotateToFrontKeepsCyclicOrder)
+{
+    BuddyAllocator buddy(8 << 20);
+    PageOwnerTable owners(buddy);
+    SlabPool pool("rotate", 64, buddy, owners);
+    NodeLists& node = pool.node();
+    std::vector<SlabHeader*> slabs;
+    std::lock_guard<SpinLock> g(node.lock);
+    for (int i = 0; i < 4; ++i) {
+        SlabHeader* s = pool.grow();
+        ASSERT_NE(s, nullptr);
+        node.move_to(s, SlabListKind::kPartial);
+        slabs.push_back(s);
+    }
+    auto order = [&] {
+        std::vector<SlabHeader*> out;
+        node.partial.for_each([&](SlabHeader* s) {
+            out.push_back(s);
+            return true;
+        });
+        return out;
+    };
+    using V = std::vector<SlabHeader*>;
+    SlabHeader *a = slabs[0], *b = slabs[1], *c = slabs[2], *d = slabs[3];
+    node.partial.rotate_to_front(c);
+    EXPECT_EQ(order(), (V{c, d, a, b}));
+    node.partial.rotate_to_front(b);  // the tail
+    EXPECT_EQ(order(), (V{b, c, d, a}));
+    node.partial.rotate_to_front(b);  // already the front: no-op
+    EXPECT_EQ(order(), (V{b, c, d, a}));
+    EXPECT_EQ(node.partial.size(), 4u);
+    // The links stay consistent for later unlinks and appends.
+    node.move_to(a, SlabListKind::kNone);
+    node.move_to(a, SlabListKind::kPartial);
+    EXPECT_EQ(order(), (V{b, c, d, a}));
+    for (SlabHeader* s : slabs) {
+        node.move_to(s, SlabListKind::kNone);
+        pool.release_slab(s);
+    }
+}
+
 TEST(ObjectCache, LifoWithColdEviction)
 {
     ObjectCache cache(4);
