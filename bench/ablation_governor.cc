@@ -223,10 +223,6 @@ main(int argc, char** argv)
                  "# shrink admission + trim PCP on low headroom)\n"
                  "# expectation: governed peak footprint >= 20% below "
                  "static, throughput within noise\n";
-#if !defined(PRUDENCE_GOVERNOR_ENABLED)
-    std::cout << "# note: built with PRUDENCE_GOVERNOR=OFF - the "
-                 "governed leg degenerates to static\n";
-#endif
 
     Outcome stat = run_leg(/*governed=*/false, bursts);
     Outcome gov = run_leg(/*governed=*/true, bursts);

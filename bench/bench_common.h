@@ -60,23 +60,15 @@ trace_path(int argc, char** argv)
  * RAII trace session for a bench main: starts tracing when a
  * `--trace=<file>` argument is present and, at scope exit, stops
  * tracing and writes the merged Chrome trace plus the metrics JSON.
- * With no flag (or a PRUDENCE_TRACE=OFF build) it does nothing.
+ * With no flag it does nothing.
  */
 class TraceSession
 {
   public:
     TraceSession(int argc, char** argv) : path_(trace_path(argc, argv))
     {
-#if defined(PRUDENCE_TRACE_ENABLED)
         if (!path_.empty())
             prudence::trace::start();
-#else
-        if (!path_.empty()) {
-            std::cerr << "--trace ignored: binary built with "
-                         "PRUDENCE_TRACE=OFF\n";
-            path_.clear();
-        }
-#endif
     }
 
     ~TraceSession()
@@ -139,9 +131,8 @@ telemetry_path(int argc, char** argv)
  * alongside the event tracks.
  *
  * Sampling period: 10 ms (the paper's memory timeline), overridable
- * via PRUDENCE_TELEMETRY_PERIOD_US. With no flag (or a
- * PRUDENCE_TELEMETRY=OFF build) it does nothing and monitor()
- * returns nullptr.
+ * via PRUDENCE_TELEMETRY_PERIOD_US. With no flag it does nothing and
+ * monitor() returns nullptr.
  */
 class TelemetrySession
 {
@@ -151,7 +142,6 @@ class TelemetrySession
     {
         if (path_.empty())
             return;
-#if defined(PRUDENCE_TELEMETRY_ENABLED)
         prudence::telemetry::MonitorConfig cfg;
         cfg.period = std::chrono::microseconds(
             size_env("PRUDENCE_TELEMETRY_PERIOD_US", 10'000));
@@ -162,11 +152,6 @@ class TelemetrySession
         prudence::telemetry::add_rss_probe(*group_);
         prudence::telemetry::add_registry_probes(*group_);
         monitor_->start();
-#else
-        std::cerr << "--telemetry ignored: binary built with "
-                     "PRUDENCE_TELEMETRY=OFF\n";
-        path_.clear();
-#endif
     }
 
     ~TelemetrySession()

@@ -7,7 +7,7 @@
 # quiesce). The default seed is fixed so failures reproduce.
 #
 # Usage: scripts/check_torture.sh [preset] [extra prudtorture args...]
-#   preset    default | asan | tsan | nofault   (default: default)
+#   preset    default | asan | tsan   (default: default)
 # Environment:
 #   DURATION  torture run length in seconds      (default: 20)
 #   SEED      fault seed                         (default: 42)

@@ -1,8 +1,8 @@
 #!/bin/sh
-# Build the tree under ThreadSanitizer with tracing compiled in and
-# run the tier-1 test suite. This is the race check for the
-# observability layer: the tracepoints fire on every allocator and
-# RCU hot path, so a green run covers the ring/registry concurrency.
+# Build the tree under ThreadSanitizer and run the tier-1 test suite.
+# This is the race check for the observability layer: the tracepoints
+# fire on every allocator and RCU hot path, so a green run covers the
+# ring/registry concurrency.
 #
 # Usage: scripts/check_tsan.sh [extra ctest args...]
 set -eu

@@ -17,7 +17,7 @@
 #            thread count, pcp on vs off.
 #
 # Usage: scripts/run_bench.sh [preset]
-#   preset    default | nofault | ...    (default: default)
+#   preset    default | nolockfree | tsan | asan   (default: default)
 # Environment:
 #   SCALE  workload scale for fig06/fig13/fig14    (default: 0.2)
 #   REPS   tab01 google-benchmark repetitions      (default: 5)
@@ -110,8 +110,8 @@ echo "== fig15_slab_contention =="
 echo "== fig03_endurance (telemetry) =="
 "$BUILD_DIR/bench/fig03_endurance" "$SCALE" \
     --telemetry="$TMP/fig03_telemetry.json" > "$TMP/fig03.txt"
-# PRUDENCE_TELEMETRY=OFF builds warn and ignore the flag; keep the
-# summary schema stable with an empty block.
+# Keep the summary schema stable with an empty block if the leg wrote
+# no series.
 [ -f "$TMP/fig03_telemetry.json" ] || : > "$TMP/fig03_telemetry.json"
 
 # Scenario engine (DESIGN.md §15): open-loop server-style traffic per
@@ -224,7 +224,7 @@ def parse_telemetry(path):
         with open(path) as f:
             doc = json.load(f)
     except (OSError, json.JSONDecodeError):
-        return {}  # telemetry compiled out or leg skipped
+        return {}  # leg skipped or wrote no series
     out = {"period_us": doc["period_us"], "rounds": doc["rounds"],
            "series": {}}
     for s in doc["series"]:

@@ -131,8 +131,8 @@ class Allocator
      * object count and bytes (from cache snapshots) plus the backing
      * page allocator's probes. Implementations override to add
      * engine-specific signals (the baseline's callback backlog).
-     * No-op when PRUDENCE_TELEMETRY=OFF. Probe closures capture
-     * `this`: the group must not outlive the allocator.
+     * Probe closures capture `this`: the group must not outlive the
+     * allocator.
      */
     virtual void
     register_telemetry_probes(telemetry::ProbeGroup& group,

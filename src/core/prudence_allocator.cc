@@ -1595,7 +1595,6 @@ void
 PrudenceAllocator::register_telemetry_probes(
     telemetry::ProbeGroup& group, const std::string& prefix)
 {
-#if defined(PRUDENCE_TELEMETRY_ENABLED)
     // Depot occupancy: what the governor's trim_depot scheme watches
     // (DESIGN.md §13/§14) — memory cached in full blocks, deferrals
     // parked in deferred blocks, and the arena footprint.
@@ -1630,7 +1629,6 @@ PrudenceAllocator::register_telemetry_probes(
                   return sum_counter(
                       &CacheStats::depot_miss_gp_pending);
               });
-#endif
     Allocator::register_telemetry_probes(group, prefix);
 }
 

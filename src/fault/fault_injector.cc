@@ -286,7 +286,6 @@ FaultInjector::report_all() const
     return out;
 }
 
-#if defined(PRUDENCE_FAULT_ENABLED)
 namespace detail {
 void
 stall_ns(std::uint64_t ns)
@@ -295,6 +294,5 @@ stall_ns(std::uint64_t ns)
         std::this_thread::sleep_for(std::chrono::nanoseconds(ns));
 }
 }  // namespace detail
-#endif
 
 }  // namespace prudence::fault

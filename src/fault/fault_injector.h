@@ -11,9 +11,7 @@
  *
  * Design:
  *  - Named injection sites (SiteId) compiled into the subsystems via
- *    the PRUDENCE_FAULT_* macros below. With `PRUDENCE_FAULT=OFF`
- *    every macro expands to a constant and the instrumented code is
- *    byte-identical to uninstrumented code.
+ *    the PRUDENCE_FAULT_* macros below.
  *  - Per-site policies: probability, every-Nth, one-shot — plus an
  *    optional delay payload for stall-style sites.
  *  - Seed determinism: the verdict of the k-th evaluation of a site
@@ -27,8 +25,7 @@
  *    when they diverge.
  *
  * Cost model (mirrors src/trace/):
- *  - `PRUDENCE_FAULT=OFF` build: zero — macros are constants.
- *  - Compiled in, nothing armed: one relaxed atomic load per site.
+ *  - Nothing armed: one relaxed atomic load per site.
  *  - Armed: a fetch_add, one splitmix64 hash and a fingerprint XOR.
  */
 #ifndef PRUDENCE_FAULT_FAULT_INJECTOR_H
@@ -230,8 +227,6 @@ class FaultInjector
 // Injection-site macros — the only spelling instrumented code uses.
 // ---------------------------------------------------------------------
 
-#if defined(PRUDENCE_FAULT_ENABLED)
-
 /// Boolean fault point: true when the named site fires.
 /// Usage: if (PRUDENCE_FAULT_POINT(kBuddyAlloc)) return nullptr;
 #define PRUDENCE_FAULT_POINT(site)                                     \
@@ -249,28 +244,10 @@ class FaultInjector
                     ::prudence::fault::SiteId::site));                 \
     } while (0)
 
-/// Statement executed only when fault injection is compiled in.
-#define PRUDENCE_FAULT_STMT(stmt)                                      \
-    do {                                                               \
-        stmt;                                                          \
-    } while (0)
-
 namespace prudence::fault::detail {
 /// Sleep helper used by PRUDENCE_FAULT_STALL (out of line so the
 /// macro does not pull <thread> into every instrumented TU).
 void stall_ns(std::uint64_t ns);
 }  // namespace prudence::fault::detail
-
-#else  // !PRUDENCE_FAULT_ENABLED
-
-#define PRUDENCE_FAULT_POINT(site) false
-#define PRUDENCE_FAULT_STALL(site)                                     \
-    do {                                                               \
-    } while (0)
-#define PRUDENCE_FAULT_STMT(stmt)                                      \
-    do {                                                               \
-    } while (0)
-
-#endif  // PRUDENCE_FAULT_ENABLED
 
 #endif  // PRUDENCE_FAULT_FAULT_INJECTOR_H

@@ -49,8 +49,6 @@ action_name(ActionId id)
     return "unknown";
 }
 
-#if defined(PRUDENCE_GOVERNOR_ENABLED)
-
 namespace {
 
 std::uint64_t
@@ -530,7 +528,5 @@ default_schemes(const DefaultSchemeTuning& tuning)
 
     return schemes;
 }
-
-#endif  // PRUDENCE_GOVERNOR_ENABLED
 
 }  // namespace prudence::governor

@@ -38,11 +38,6 @@
  *  - Determinism: evaluate_at(t_ns) runs one evaluation under an
  *    injected clock; tests and prudtorture never need the
  *    background thread.
- *
- * With PRUDENCE_GOVERNOR=OFF the class body below is replaced by an
- * API-identical inline stub that compiles to nothing — consumers
- * build unchanged and the OOM ladder remains the only pressure
- * response.
  */
 #ifndef PRUDENCE_GOVERNOR_GOVERNOR_H
 #define PRUDENCE_GOVERNOR_GOVERNOR_H
@@ -175,11 +170,9 @@ class Actuators
     virtual bool reclaim() = 0;
 };
 
-#if defined(PRUDENCE_GOVERNOR_ENABLED)
-
 /**
  * Production actuators: any (GracePeriodDomain, Allocator) pair.
- * pace_gp feeds GracePeriodDomain::set_pacing() (QSBR/RCU detector
+ * pace_gp feeds GracePeriodDomain::set_pacing() (RCU detector
  * threads shrink their pause; ManualRcuDomain advances; the callback
  * engine widens its per-tick batch); shrink_latent and reclaim go
  * through the Allocator virtuals; trim_pcp through the backing
@@ -402,84 +395,6 @@ struct DefaultSchemeTuning
  *  5. depot full objects above high     ⇒ trim depot     (elevated)
  */
 std::vector<Scheme> default_schemes(const DefaultSchemeTuning& tuning);
-
-#else  // !PRUDENCE_GOVERNOR_ENABLED
-
-// API-identical stubs: every member is an inline no-op, so consumers
-// (benchmarks, prudtorture) compile unchanged and the layer costs
-// nothing — no thread, no dispatches, no probe reads.
-
-class AllocatorActuators : public Actuators
-{
-  public:
-    AllocatorActuators(GracePeriodDomain&, Allocator&) {}
-    bool pace_gp(unsigned, std::size_t) override { return true; }
-    bool shrink_latent(unsigned) override { return true; }
-    bool trim_pcp(std::size_t) override { return true; }
-    bool trim_depot(std::size_t) override { return true; }
-    bool reclaim() override { return true; }
-};
-
-struct GovernorConfig
-{
-    std::chrono::microseconds period{10'000};
-    std::chrono::milliseconds ladder_hold{100};
-    std::vector<Scheme> schemes;
-};
-
-class ReclamationGovernor
-{
-  public:
-    ReclamationGovernor(telemetry::Monitor&, Actuators&,
-                        GovernorConfig)
-    {
-    }
-
-    void start() {}
-    void stop() {}
-    void evaluate_once() {}
-    void evaluate_at(std::uint64_t) {}
-    void note_oom_ladder(int rung)
-    {
-        int prev = max_ladder_rung_.load(std::memory_order_relaxed);
-        while (rung > prev &&
-               !max_ladder_rung_.compare_exchange_weak(
-                   prev, rung, std::memory_order_relaxed)) {
-        }
-    }
-    void set_schemes_enabled(bool) {}
-    PressureLevel level() const { return PressureLevel::kNominal; }
-    int
-    max_ladder_rung() const
-    {
-        return max_ladder_rung_.load(std::memory_order_relaxed);
-    }
-    GovernorStats stats() const { return {}; }
-    std::vector<SchemeSnapshot> schemes() const { return {}; }
-
-  private:
-    std::atomic<int> max_ladder_rung_{0};
-};
-
-struct DefaultSchemeTuning
-{
-    std::string prefix;
-    std::uint64_t latent_bytes_high = 8u << 20;
-    std::uint64_t headroom_low_pages = 64;
-    std::uint64_t deferred_age_p99_ns = 50'000'000;
-    std::uint64_t depot_full_objects_high = 4096;
-    std::uint64_t depot_full_objects_low = 256;
-    std::chrono::milliseconds hold{10};
-    std::chrono::milliseconds cooldown{50};
-};
-
-inline std::vector<Scheme>
-default_schemes(const DefaultSchemeTuning&)
-{
-    return {};
-}
-
-#endif  // PRUDENCE_GOVERNOR_ENABLED
 
 }  // namespace prudence::governor
 

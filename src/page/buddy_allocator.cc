@@ -552,7 +552,6 @@ void
 BuddyAllocator::register_telemetry_probes(telemetry::ProbeGroup& group,
                                           const std::string& prefix)
 {
-#if defined(PRUDENCE_TELEMETRY_ENABLED)
     // One coherent stats() per sampling round, shared by every probe:
     // probes run back-to-back on the sampler thread, so a short reuse
     // window turns up to 14 all-lock acquisitions per round into one.
@@ -607,10 +606,6 @@ BuddyAllocator::register_telemetry_probes(telemetry::ProbeGroup& group,
                   }
                   return pages;
               });
-#else
-    (void)group;
-    (void)prefix;
-#endif
 }
 
 std::size_t

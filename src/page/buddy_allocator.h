@@ -178,7 +178,7 @@ class BuddyAllocator
      * Register this allocator's telemetry probes (bytes in use, free
      * headroom total and per order, PCP occupancy) with @p group,
      * names prefixed by @p prefix. Probes share one coherent stats()
-     * call per sampling round. No-op when PRUDENCE_TELEMETRY=OFF.
+     * call per sampling round.
      */
     void register_telemetry_probes(telemetry::ProbeGroup& group,
                                    const std::string& prefix = "");

@@ -252,7 +252,6 @@ void
 RcuDomain::register_telemetry_probes(telemetry::ProbeGroup& group,
                                      const std::string& prefix)
 {
-#if defined(PRUDENCE_TELEMETRY_ENABLED)
     group.add(prefix + "rcu.grace_periods", "count",
               [this] { return grace_periods_.get(); });
     group.add(prefix + "rcu.last_gp_ns", "ns", [this] {
@@ -266,10 +265,6 @@ RcuDomain::register_telemetry_probes(telemetry::ProbeGroup& group,
         });
         return n;
     });
-#else
-    (void)group;
-    (void)prefix;
-#endif
 }
 
 }  // namespace prudence

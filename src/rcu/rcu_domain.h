@@ -112,7 +112,7 @@ class RcuDomain : public GracePeriodDomain
     /**
      * Register this domain's telemetry probes (grace-period count,
      * last grace-period latency, active reader count) with @p group,
-     * names prefixed by @p prefix. No-op when PRUDENCE_TELEMETRY=OFF.
+     * names prefixed by @p prefix.
      */
     void register_telemetry_probes(telemetry::ProbeGroup& group,
                                    const std::string& prefix = "");

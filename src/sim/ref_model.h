@@ -23,8 +23,8 @@
  * The ModelChecker tracks every deferred object through
  * defer -> spill -> reuse against I1/I2 while the real allocator runs
  * under the sim scheduler. Hooks live behind PRUDENCE_SIM_STMT in the
- * production sources, so OFF builds carry no trace of the model and ON
- * builds pay one relaxed load per hook while no session is active.
+ * production sources, so while no session is active each hook costs
+ * one session_active() check.
  *
  * Hook placement is chosen so a correct allocator can never trip it:
  *  - on_defer records the epoch BEFORE the allocator reads its own

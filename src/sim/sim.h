@@ -13,9 +13,7 @@
  *
  * Design (mirrors src/fault/fault_injector.h):
  *  - Named yield points (YieldId) compiled into the subsystems via
- *    the PRUDENCE_SIM_* macros below. With `PRUDENCE_SIM=OFF` every
- *    macro expands to nothing and the instrumented code is
- *    byte-identical to uninstrumented code.
+ *    the PRUDENCE_SIM_* macros below.
  *  - Seed determinism: whether the k-th arrival at a yield point is
  *    perturbed, and by how long, is a pure function
  *    decide(seed, site, k) — independent of which thread arrives and
@@ -36,9 +34,9 @@
  *    by delta-debugging this mask.
  *
  * Cost model:
- *  - `PRUDENCE_SIM=OFF` build: zero — the macros are empty.
- *  - Compiled in, no session active: one relaxed atomic load per
- *    yield point.
+ *  - No session active: one out-of-line session_active() call per
+ *    yield point (a guarded function-local static, then a relaxed
+ *    load).
  *  - Session active: a fetch_add, one splitmix64 hash, a fingerprint
  *    XOR, and (when the decision fires) a short sleep or yield.
  */
@@ -281,8 +279,8 @@ bool session_active();
 
 // ---------------------------------------------------------------------
 // Deliberate bugs, reintroducible behind a runtime flag so schedfuzz
-// can prove it finds them (`schedfuzz --self-test`). Compiled only
-// under PRUDENCE_SIM_ENABLED; release builds cannot switch them on.
+// can prove it finds them (`schedfuzz --self-test`). Every detour sits
+// inside PRUDENCE_SIM_STMT, so an armed bug acts only during a session.
 // ---------------------------------------------------------------------
 
 enum class BugId : std::uint8_t {
@@ -320,8 +318,6 @@ BugId bug_from_name(const char* name);
 // Yield-point macros — the only spelling instrumented code uses.
 // ---------------------------------------------------------------------
 
-#if defined(PRUDENCE_SIM_ENABLED)
-
 /// Named interleaving perturbation point.
 /// Usage: PRUDENCE_SIM_YIELD(kMagSpillTag);
 #define PRUDENCE_SIM_YIELD(site)                                       \
@@ -339,16 +335,5 @@ BugId bug_from_name(const char* name);
             stmt;                                                      \
         }                                                              \
     } while (0)
-
-#else  // !PRUDENCE_SIM_ENABLED
-
-#define PRUDENCE_SIM_YIELD(site)                                       \
-    do {                                                               \
-    } while (0)
-#define PRUDENCE_SIM_STMT(stmt)                                        \
-    do {                                                               \
-    } while (0)
-
-#endif  // PRUDENCE_SIM_ENABLED
 
 #endif  // PRUDENCE_SIM_SIM_H

@@ -94,14 +94,12 @@ struct alignas(kCacheLineSize) Magazine
     std::size_t defer_count = 0;
     std::size_t defer_capacity;
     std::unique_ptr<void*[]> defers;
-#if defined(PRUDENCE_SIM_ENABLED)
     /// Deliberate-bug scratch (sim::BugId::kStaleSpillTag): the epoch
     /// observed when the FIRST object of the current batch was
     /// buffered. Tagging the spill with this instead of a fresh
     /// defer_epoch() read is exactly the non-conservative bug the
     /// schedule fuzzer must catch. Unused unless the bug is armed.
     GpEpoch bug_first_epoch = 0;
-#endif
 
     explicit Magazine(std::size_t capacity)
         : objects(capacity),

@@ -790,12 +790,10 @@ void
 SlubAllocator::register_telemetry_probes(telemetry::ProbeGroup& group,
                                          const std::string& prefix)
 {
-#if defined(PRUDENCE_TELEMETRY_ENABLED)
     group.add(prefix + "rcu.cb_backlog", "callbacks", [this] {
         std::int64_t backlog = engine_->backlog();
         return backlog > 0 ? static_cast<std::uint64_t>(backlog) : 0;
     });
-#endif
     Allocator::register_telemetry_probes(group, prefix);
 }
 

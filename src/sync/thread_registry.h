@@ -33,8 +33,7 @@ struct alignas(kCacheLineSize) ThreadSlot
     /// Owner-thread-only scratch (RCU: read-side nesting depth).
     std::uint32_t nesting = 0;
     /// Owner-thread-only telemetry stamp: steady-clock ns at the
-    /// outermost section entry (0 = unstamped; RCU: read_lock, QSBR:
-    /// the previous quiescence announcement).
+    /// outermost section entry (0 = unstamped; set by read_lock).
     std::uint64_t section_start_ns = 0;
     /// True while a live thread owns this slot.
     std::atomic<bool> in_use{false};

@@ -20,7 +20,6 @@ void
 register_default_allocator_probes(Allocator& a, ProbeGroup& group,
                                   const std::string& prefix)
 {
-#if defined(PRUDENCE_TELEMETRY_ENABLED)
     // Deferred objects across every cache: the latent-ring/backlog
     // population (count) and its footprint (bytes). One snapshots()
     // walk per probe per sampling round — the walk is per-cache
@@ -52,11 +51,6 @@ register_default_allocator_probes(Allocator& a, ProbeGroup& group,
         return n;
     });
     a.page_allocator().register_telemetry_probes(group, prefix);
-#else
-    (void)a;
-    (void)group;
-    (void)prefix;
-#endif
 }
 
 }  // namespace prudence::telemetry::detail

@@ -4,14 +4,8 @@
  * macros instrumented subsystems use.
  *
  * Cost model (mirrors the trace-layer discipline, DESIGN.md §5):
- *  - `PRUDENCE_TELEMETRY=OFF` build: PRUDENCE_TELEM_STMT compiles to
- *    nothing and PRUDENCE_TELEM_STAMP degrades to the trace-session
- *    clock (so latent-residency reporting keeps working in trace-only
- *    builds); the monitor core below still links — it is plain
- *    library code with no hot-path presence — but no subsystem feeds
- *    it.
- *  - Compiled in but no Monitor running and no trace session: one
- *    relaxed atomic load per stamp site, nothing else.
+ *  - No Monitor running and no trace session: one relaxed atomic load
+ *    per stamp site, nothing else.
  *  - A Monitor running: stamp sites take one steady-clock read; the
  *    sampling itself happens on the monitor's own thread.
  *
@@ -68,40 +62,16 @@ stamp_now_ns()
 // Stamp macros — the only spelling instrumented code should use.
 // ---------------------------------------------------------------------
 
-#if defined(PRUDENCE_TELEMETRY_ENABLED)
-
 /// Capture a defer/section timestamp into `var` (0 when idle).
 #define PRUDENCE_TELEM_STAMP(var)                                      \
     std::uint64_t var = ::prudence::telemetry::stamp_now_ns()
 
-/// Statement executed only when telemetry is compiled in AND a
-/// Monitor is running.
+/// Statement executed only while a Monitor is running.
 #define PRUDENCE_TELEM_STMT(stmt)                                      \
     do {                                                               \
         if (::prudence::telemetry::active()) {                         \
             stmt;                                                      \
         }                                                              \
     } while (0)
-
-#else  // !PRUDENCE_TELEMETRY_ENABLED
-
-// Degrade stamps to the trace gate so PRUDENCE_TRACE-only builds
-// keep their latent-residency accounting (the pre-telemetry
-// behavior); with tracing also compiled out the stamp is a constant 0
-// and the instrumented code is byte-identical to uninstrumented code.
-#if defined(PRUDENCE_TRACE_ENABLED)
-#define PRUDENCE_TELEM_STAMP(var)                                      \
-    std::uint64_t var = ::prudence::trace::enabled()                   \
-                            ? ::prudence::telemetry::steady_now_ns()   \
-                            : 0
-#else
-#define PRUDENCE_TELEM_STAMP(var)                                      \
-    [[maybe_unused]] constexpr std::uint64_t var = 0
-#endif
-#define PRUDENCE_TELEM_STMT(stmt)                                      \
-    do {                                                               \
-    } while (0)
-
-#endif  // PRUDENCE_TELEMETRY_ENABLED
 
 #endif  // PRUDENCE_TELEMETRY_TELEMETRY_H

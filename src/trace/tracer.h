@@ -5,10 +5,8 @@
  * use.
  *
  * Cost model:
- *  - `PRUDENCE_TRACE=OFF` build: every macro expands to nothing; the
- *    instrumented code is byte-identical to uninstrumented code.
- *  - Tracing compiled in but not started: one relaxed atomic load per
- *    tracepoint (the enabled() check), nothing else.
+ *  - Tracing not started: one relaxed atomic load per tracepoint (the
+ *    enabled() check), nothing else.
  *  - Tracing started: one steady-clock read plus one 32-byte store
  *    into the calling thread's ring (~20 ns); spans add a second
  *    clock read and a histogram increment.
@@ -139,21 +137,11 @@ class TimerSpan
     std::uint64_t arg1_ = 0;
 };
 
-/// Stand-in for TimerSpan in PRUDENCE_TRACE=OFF builds: keeps
-/// span-adjacent calls (set_args, armed) compiling to nothing.
-struct NullSpan
-{
-    void set_args(std::uint64_t, std::uint64_t = 0) {}
-    bool armed() const { return false; }
-};
-
 }  // namespace prudence::trace
 
 // ---------------------------------------------------------------------
 // Tracepoint macros — the only spelling instrumented code should use.
 // ---------------------------------------------------------------------
-
-#if defined(PRUDENCE_TRACE_ENABLED)
 
 /// Instant/counter tracepoint: PRUDENCE_TRACE_EMIT(id[, arg0[, arg1]]).
 #define PRUDENCE_TRACE_EMIT(...)                                       \
@@ -171,27 +159,12 @@ struct NullSpan
     std::uint64_t var =                                                \
         ::prudence::trace::enabled() ? ::prudence::trace::now_ns() : 0
 
-/// Statement executed only when tracing is compiled in AND running.
+/// Statement executed only while tracing is running.
 #define PRUDENCE_TRACE_STMT(stmt)                                      \
     do {                                                               \
         if (::prudence::trace::enabled()) {                            \
             stmt;                                                      \
         }                                                              \
     } while (0)
-
-#else  // !PRUDENCE_TRACE_ENABLED
-
-#define PRUDENCE_TRACE_EMIT(...)                                       \
-    do {                                                               \
-    } while (0)
-#define PRUDENCE_TRACE_SPAN(var, hist, event)                          \
-    [[maybe_unused]] ::prudence::trace::NullSpan var
-#define PRUDENCE_TRACE_CLOCK(var)                                      \
-    [[maybe_unused]] constexpr std::uint64_t var = 0
-#define PRUDENCE_TRACE_STMT(stmt)                                      \
-    do {                                                               \
-    } while (0)
-
-#endif  // PRUDENCE_TRACE_ENABLED
 
 #endif  // PRUDENCE_TRACE_TRACER_H

@@ -525,7 +525,6 @@ run_scenario(Allocator& alloc, RcuDomain& rcu, const ScenarioSpec& spec_in,
         : std::min(spec.shards, hw == 0 ? 1u : hw);
     nthreads = std::clamp(nthreads, 1u, spec.shards);
 
-#if defined(PRUDENCE_TELEMETRY_ENABLED)
     std::unique_ptr<telemetry::Monitor> monitor;
     std::unique_ptr<telemetry::ProbeGroup> probes;
     if (options.telemetry) {
@@ -541,7 +540,6 @@ run_scenario(Allocator& alloc, RcuDomain& rcu, const ScenarioSpec& spec_in,
         alloc.register_telemetry_probes(*probes, "scenario.");
         monitor->start();
     }
-#endif
 
     // Shard ownership: round-robin by shard index. The per-shard
     // streams are thread-count independent, so this split is pure
@@ -636,7 +634,6 @@ run_scenario(Allocator& alloc, RcuDomain& rcu, const ScenarioSpec& spec_in,
     result.caches.push_back(alloc.cache_snapshot(sh.obj_cache));
     result.caches.push_back(alloc.cache_snapshot(sh.req_cache));
 
-#if defined(PRUDENCE_TELEMETRY_ENABLED)
     if (monitor != nullptr) {
         monitor->stop();
         for (const telemetry::SeriesSnapshot& s : monitor->snapshot()) {
@@ -652,7 +649,6 @@ run_scenario(Allocator& alloc, RcuDomain& rcu, const ScenarioSpec& spec_in,
         }
         probes.reset();  // detach allocator probes before `alloc` dies
     }
-#endif
     return result;
 }
 

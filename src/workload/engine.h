@@ -49,8 +49,7 @@ struct WorkloadResult
     /// snapshotted-and-reset at the start barrier (discarding warmup
     /// activity) and again right after the finish barrier, so
     /// alloc/free latency histograms here contain timed-phase
-    /// recordings only. Empty when tracing is compiled out or the
-    /// registry is idle.
+    /// recordings only. Empty when the registry is idle.
     std::vector<trace::MetricSnapshot> timed_metrics;
 };
 
@@ -95,8 +94,7 @@ struct ScenarioRunOptions
      */
     bool paced = true;
 
-    /// Sample RSS and allocator telemetry over the run (no-op when
-    /// telemetry is compiled out).
+    /// Sample RSS and allocator telemetry over the run.
     bool telemetry = true;
 };
 
@@ -121,7 +119,7 @@ struct ScenarioResult
     /// Fold of shard_fingerprints — the whole run's determinism audit.
     std::uint64_t fingerprint = 0;
     /// Peak resident set over the run, bytes (0 when telemetry was
-    /// off, compiled out, or /proc is unavailable).
+    /// off or /proc is unavailable).
     std::uint64_t peak_rss_bytes = 0;
     /// RSS-over-time samples (t_ns since sampling start, bytes);
     /// empty under the same conditions as peak_rss_bytes.

@@ -59,7 +59,7 @@ void print_fig13_throughput(
 /// One table of latency-histogram summaries (count, p50/p90/p99, max)
 /// from a metrics snapshot, histograms only; counters and gauges are
 /// skipped. Prints nothing when no histogram recorded anything (e.g.
-/// tracing compiled out).
+/// tracing was not started).
 void print_latency_summary(
     std::ostream& os, const char* title,
     const std::vector<trace::MetricSnapshot>& metrics);

@@ -166,8 +166,9 @@ TEST_P(BstTest, MatchesMapOracleUnderRandomOps)
             bool found = tree.lookup(key, &v);
             auto it = oracle.find(key);
             ASSERT_EQ(found, it != oracle.end()) << "lookup " << key;
-            if (found)
+            if (found) {
                 ASSERT_EQ(v, it->second) << "value " << key;
+            }
             break;
           }
         }

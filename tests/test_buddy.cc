@@ -118,8 +118,9 @@ TEST(Buddy, MixedOrderStressKeepsIntegrity)
             live[j] = live.back();
             live.pop_back();
         }
-        if (i % 4096 == 0)
+        if (i % 4096 == 0) {
             ASSERT_TRUE(buddy.check_integrity()) << "iteration " << i;
+        }
     }
     for (auto& [p, order] : live)
         buddy.free_pages(p, order);

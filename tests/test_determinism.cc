@@ -173,7 +173,6 @@ TEST(Determinism, SameSeedSameFingerprintsAndAccounting)
     }
 }
 
-#if defined(PRUDENCE_FAULT_ENABLED)
 TEST(Determinism, DifferentSeedsDiverge)
 {
     RunResult a = run_once(42);
@@ -192,7 +191,6 @@ TEST(Determinism, DifferentSeedsDiverge)
     EXPECT_TRUE(diverged)
         << "two different seeds produced identical decision streams";
 }
-#endif  // PRUDENCE_FAULT_ENABLED
 
 // -----------------------------------------------------------------
 // Scenario engine determinism (DESIGN.md §15): the op stream is a

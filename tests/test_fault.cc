@@ -25,8 +25,7 @@ using fault::SiteId;
 using fault::SitePolicy;
 
 // ---------------------------------------------------------------------
-// Injector semantics (isolated instances; independent of whether the
-// sites are compiled into the tree).
+// Injector semantics (isolated instances, not the wired sites).
 // ---------------------------------------------------------------------
 
 TEST(FaultInjector, UnarmedNeverFires)
@@ -162,10 +161,8 @@ TEST(FaultInjector, DelayPayloadIsExposed)
 }
 
 // ---------------------------------------------------------------------
-// Wired-site behavior (needs the sites compiled in).
+// Wired-site behavior (the process-wide injector).
 // ---------------------------------------------------------------------
-
-#if defined(PRUDENCE_FAULT_ENABLED)
 
 /// RAII reset of the process-wide injector around a test body.
 struct GlobalFaultGuard
@@ -236,8 +233,6 @@ TEST(FaultWiring, InjectedRefillFailureRecoversWhenDisarmed)
     alloc.kfree(obj);
     EXPECT_TRUE(alloc.validate().empty());
 }
-
-#endif  // PRUDENCE_FAULT_ENABLED
 
 // ---------------------------------------------------------------------
 // OOM escalation (Algorithm 1 lines 31-32 + the expedite/backoff

@@ -109,8 +109,6 @@ struct RecordingActuators : Actuators
     }
 };
 
-#if defined(PRUDENCE_GOVERNOR_ENABLED)
-
 /// Monitor + injectable probe + governor under a virtual clock.
 struct Harness
 {
@@ -351,7 +349,6 @@ TEST(GovernorActuation, ShrinkLatentHoldsAdmissionWhileActive)
     EXPECT_EQ(h.acts.admissions.back(), 100u);
 }
 
-#if defined(PRUDENCE_FAULT_ENABLED)
 TEST(GovernorActuation, FaultSiteRefusesAndRecoveryReapplies)
 {
     auto& injector = fault::FaultInjector::instance();
@@ -372,7 +369,6 @@ TEST(GovernorActuation, FaultSiteRefusesAndRecoveryReapplies)
     EXPECT_EQ(h.acts.paces[0].level, 2u);
     injector.reset(0);
 }
-#endif  // PRUDENCE_FAULT_ENABLED
 
 // ---------------------------------------------------------------------
 // The OOM-ladder handoff (one escalation story).
@@ -537,34 +533,8 @@ TEST(GovernorThread, StartStopRelaxesActuation)
     EXPECT_EQ(h.acts.paces.back().level, 0u);
 }
 
-#else  // !PRUDENCE_GOVERNOR_ENABLED
-
-TEST(GovernorStub, CompiledOutLayerIsInert)
-{
-    // With PRUDENCE_GOVERNOR=OFF the stub must accept the whole API
-    // and do nothing: no dispatches, no level changes, no schemes.
-    telemetry::Monitor monitor;
-    RecordingActuators acts;
-    GovernorConfig cfg;
-    ReclamationGovernor gov(monitor, acts, cfg);
-    gov.start();
-    gov.evaluate_once();
-    gov.evaluate_at(123);
-    gov.set_schemes_enabled(false);
-    gov.note_oom_ladder(2);
-    gov.stop();
-    EXPECT_EQ(gov.level(), PressureLevel::kNominal);
-    EXPECT_EQ(gov.max_ladder_rung(), 2) << "rung report stays usable";
-    EXPECT_TRUE(gov.schemes().empty());
-    EXPECT_EQ(gov.stats().evaluations, 0u);
-    EXPECT_TRUE(acts.paces.empty());
-    EXPECT_TRUE(default_schemes(DefaultSchemeTuning{}).empty());
-}
-
-#endif  // PRUDENCE_GOVERNOR_ENABLED
-
 // ---------------------------------------------------------------------
-// Actuator substrate (compiled in every configuration).
+// Actuator substrate.
 // ---------------------------------------------------------------------
 
 TEST(GovernorSubstrate, ManualDomainConsumesExpediteAsAdvance)
@@ -650,12 +620,10 @@ TEST(GovernorSubstrate, AllocatorActuatorsDriveTheRealSurfaces)
 
     AllocatorActuators acts(domain, alloc);
     EXPECT_TRUE(acts.pace_gp(1, 64));
-#if defined(PRUDENCE_GOVERNOR_ENABLED)
     EXPECT_EQ(domain.expedite_level(), 1u);
     EXPECT_EQ(domain.paced_batch_limit(), 64u);
     EXPECT_TRUE(acts.shrink_latent(50));
     EXPECT_EQ(alloc.deferred_admission(), 50u);
-#endif
     EXPECT_TRUE(acts.trim_pcp(0));
     EXPECT_TRUE(acts.trim_depot(0));
     EXPECT_TRUE(acts.reclaim());

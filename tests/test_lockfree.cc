@@ -21,18 +21,12 @@
 #include "core/prudence_allocator.h"
 #include "rcu/manual_domain.h"
 #include "rcu/rcu_domain.h"
+#include "sim/ref_model.h"
+#include "sim/sim.h"
 #include "slab/magazine_depot.h"
 #include "sync/lockfree_ring.h"
 #include "sync/lockfree_stack.h"
-
-#if defined(PRUDENCE_SIM_ENABLED)
-#include "sim/ref_model.h"
-#include "sim/sim.h"
-#endif
-
-#if defined(PRUDENCE_TELEMETRY_ENABLED)
 #include "telemetry/monitor.h"
-#endif
 
 namespace prudence {
 namespace {
@@ -476,10 +470,9 @@ TEST(Depot, RipeBlockPathsNeverReuseOpenGracePeriodBlock)
     // maintenance tick (depot_harvest_safe). While the grace period is
     // open, neither may hand out or promote a deferred object, no
     // matter how hard it is driven; once the period closes, each must.
-    // The model checker (when built in) independently flags any early
+    // The model checker independently flags any early
     // reuse as reuse_before_grace_period.
     ManualRcuDomain domain;
-#if defined(PRUDENCE_SIM_ENABLED)
     sim::ModelChecker model;
     model.set_completed_provider(
             [&domain] { return domain.completed_epoch(); });
@@ -487,7 +480,6 @@ TEST(Depot, RipeBlockPathsNeverReuseOpenGracePeriodBlock)
     sim::Scheduler& sched = sim::Scheduler::instance();
     sched.reset(1);
     sched.start(/*site_mask=*/0, /*base_delay_ns=*/0);
-#endif
     {
         PrudenceAllocator alloc(domain, lockfree_config(true));
         CacheId id = alloc.create_cache("ripe", 64);
@@ -582,12 +574,10 @@ TEST(Depot, RipeBlockPathsNeverReuseOpenGracePeriodBlock)
         EXPECT_EQ(s.live_objects, 0);
         EXPECT_EQ(s.deferred_outstanding, 0);
     }
-#if defined(PRUDENCE_SIM_ENABLED)
     sched.stop();
     sim::ModelChecker::install(nullptr);
     EXPECT_TRUE(model.violations().empty())
             << "model checker flagged a ripe-block path";
-#endif
 }
 
 TEST(Depot, TrimDepotReleasesRetainedFullBlocks)
@@ -613,7 +603,6 @@ TEST(Depot, TrimDepotReleasesRetainedFullBlocks)
     EXPECT_EQ(alloc.validate(), "");
 }
 
-#if defined(PRUDENCE_TELEMETRY_ENABLED)
 TEST(Depot, OccupancyProbesReportGauges)
 {
     ManualRcuDomain domain;
@@ -650,9 +639,7 @@ TEST(Depot, OccupancyProbesReportGauges)
     EXPECT_TRUE(found_deferred);
     EXPECT_TRUE(found_blocks);
 }
-#endif  // PRUDENCE_TELEMETRY_ENABLED
 
-#if defined(PRUDENCE_SIM_ENABLED)
 TEST(Depot, UnprotectedPopVariantTripsTheModelChecker)
 {
     // Self-test of the safety net: arm the deliberately broken depot
@@ -713,7 +700,6 @@ TEST(Depot, UnprotectedPopVariantTripsTheModelChecker)
     EXPECT_TRUE(run(false).empty())
             << "clean depot flagged by the model checker";
 }
-#endif  // PRUDENCE_SIM_ENABLED
 
 }  // namespace
 }  // namespace prudence

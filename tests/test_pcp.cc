@@ -225,7 +225,6 @@ TEST(Pcp, MixedOrderChurnKeepsIntegrity)
     EXPECT_TRUE(buddy.check_integrity());
 }
 
-#if defined(PRUDENCE_FAULT_ENABLED)
 TEST(Pcp, RefillFaultFallsBackToGlobalPath)
 {
     auto& fi = fault::FaultInjector::instance();
@@ -253,7 +252,6 @@ TEST(Pcp, RefillFaultFallsBackToGlobalPath)
     buddy.drain_pcp();
     EXPECT_TRUE(buddy.check_integrity());
 }
-#endif  // PRUDENCE_FAULT_ENABLED
 
 TEST(Pcp, OversubscribedHammerIsSafe)
 {

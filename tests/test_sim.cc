@@ -15,8 +15,6 @@
 #include <set>
 #include <vector>
 
-#if defined(PRUDENCE_SIM_ENABLED)
-
 #include "sim/ref_model.h"
 #include "sim/sim.h"
 
@@ -240,7 +238,7 @@ TEST(SimModel, CleanLifecycleRecordsNoViolation)
     std::uint64_t completed = 0;
     m.set_completed_provider([&completed] { return completed; });
 
-    int obj;
+    int obj = 0;
     m.on_defer(&obj, /*epoch_now=*/10);
     EXPECT_EQ(m.tracked(), 1u);
     m.on_spill(&obj, /*tag=*/12);  // conservative: tag >= defer epoch
@@ -254,7 +252,7 @@ TEST(SimModel, CleanLifecycleRecordsNoViolation)
 TEST(SimModel, StaleSpillTagTripsI1)
 {
     ModelChecker m;
-    int obj;
+    int obj = 0;
     m.on_defer(&obj, /*epoch_now=*/10);
     m.on_spill(&obj, /*tag=*/9);  // the kStaleSpillTag hazard
     ASSERT_TRUE(m.has_violations());
@@ -272,7 +270,7 @@ TEST(SimModel, ReuseBeforeGracePeriodTripsI2)
     std::uint64_t completed = 5;  // behind the defer epoch
     m.set_completed_provider([&completed] { return completed; });
 
-    int obj;
+    int obj = 0;
     m.on_defer(&obj, /*epoch_now=*/10);
     m.on_spill(&obj, /*tag=*/10);
     m.on_reuse(&obj);
@@ -289,7 +287,7 @@ TEST(SimModel, ReuseInsideReaderSectionTripsI2)
     std::uint64_t completed = 20;
     m.set_completed_provider([&completed] { return completed; });
 
-    int obj;
+    int obj = 0;
     m.on_reader_lock(/*slot=*/1, /*snapshot=*/8);
     m.on_defer(&obj, /*epoch_now=*/10);
     m.on_spill(&obj, /*tag=*/10);
@@ -315,7 +313,7 @@ TEST(SimModel, LateReaderDoesNotBlockReuse)
     std::uint64_t completed = 20;
     m.set_completed_provider([&completed] { return completed; });
 
-    int obj;
+    int obj = 0;
     m.on_defer(&obj, 10);
     m.on_spill(&obj, 10);
     m.on_reader_lock(/*slot=*/3, /*snapshot=*/15);
@@ -329,14 +327,14 @@ TEST(SimModel, InstallRoutesVeneersAndUninstallStopsThem)
     ModelChecker::install(&m);
     EXPECT_EQ(ModelChecker::installed(), &m);
 
-    int obj;
+    int obj = 0;
     prudence::sim::model_on_defer(&obj, 10);
     prudence::sim::model_on_spill(&obj, 9);
     EXPECT_TRUE(m.has_violations());
 
     ModelChecker::install(nullptr);
     EXPECT_EQ(ModelChecker::installed(), nullptr);
-    int other;
+    int other = 0;
     prudence::sim::model_on_defer(&other, 1);  // dropped, no crash
     EXPECT_EQ(m.tracked(), 1u) << "only &obj, not the dropped &other";
 }
@@ -363,12 +361,3 @@ TEST(SimModel, ClearForgetsStateButKeepsProvider)
 }
 
 }  // namespace
-
-#else  // !PRUDENCE_SIM_ENABLED
-
-TEST(Sim, CompiledOut)
-{
-    GTEST_SKIP() << "built with PRUDENCE_SIM=OFF";
-}
-
-#endif  // PRUDENCE_SIM_ENABLED

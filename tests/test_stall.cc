@@ -135,8 +135,6 @@ TEST(StallDetector, QuietOnHealthyDomain)
     EXPECT_EQ(detector.last_report().target_epoch, 0u);
 }
 
-#if defined(PRUDENCE_FAULT_ENABLED)
-
 TEST(StallDetector, DetectsInjectedGpDelay)
 {
     const auto threshold = 150ms;
@@ -168,8 +166,6 @@ TEST(StallDetector, DetectsInjectedGpDelay)
 
     fi.reset(0);
 }
-
-#endif  // PRUDENCE_FAULT_ENABLED
 
 }  // namespace
 }  // namespace prudence

@@ -118,9 +118,10 @@ TEST(TimeSeries, FoldPreservesFirstLastExtremaAcrossRepeatedFolds)
     // Timestamps stay monotone within and across points.
     for (std::size_t i = 0; i < pts.size(); ++i) {
         EXPECT_LE(pts[i].t_first_ns, pts[i].t_last_ns) << "point " << i;
-        if (i > 0)
+        if (i > 0) {
             EXPECT_LE(pts[i - 1].t_last_ns, pts[i].t_first_ns)
                 << "points " << i - 1 << "/" << i;
+        }
     }
 }
 
@@ -232,19 +233,11 @@ TEST(Monitor, StartStopArmsAndDisarmsStampSites)
     Monitor m;
     m.start();
     EXPECT_TRUE(active());
-#if defined(PRUDENCE_TELEMETRY_ENABLED)
     PRUDENCE_TELEM_STAMP(t);
     EXPECT_GT(t, 0u);
     int ran = 0;
     PRUDENCE_TELEM_STMT(ran = 1);
     EXPECT_EQ(ran, 1);
-#else
-    // OFF build: the statement macro must compile to nothing even
-    // with a Monitor running.
-    int ran = 0;
-    PRUDENCE_TELEM_STMT(ran = 1);
-    EXPECT_EQ(ran, 0);
-#endif
     m.stop();
     EXPECT_FALSE(active());
 }
@@ -352,21 +345,17 @@ TEST(Watermark, EmitsTraceEventAndRegistryCounter)
     rule.threshold = 1000;
     m.add_watermark(rule);
 
-#if defined(PRUDENCE_TRACE_ENABLED)
     trace::start();  // note: a fresh session resets the registry
-#endif
     std::uint64_t counter_before = trace::MetricsRegistry::instance()
                                        .counter("telemetry.watermark_fires")
                                        .get();
     v.store(5000);
     m.sample_at(1'000'000);
-#if defined(PRUDENCE_TRACE_ENABLED)
     trace::stop();
     std::ostringstream os;
     trace::write_chrome_trace(os);
     EXPECT_NE(os.str().find("\"watermark\""), std::string::npos)
         << "kWatermark event missing from the trace export";
-#endif
     EXPECT_EQ(trace::MetricsRegistry::instance()
                   .counter("telemetry.watermark_fires")
                   .get(),
@@ -589,7 +578,6 @@ TEST(BuddyCoherence, IdentityHoldsUnderConcurrentChurn)
 // Stamp sites: deferred-age and reader-section histograms.
 // ---------------------------------------------------------------------
 
-#if defined(PRUDENCE_TELEMETRY_ENABLED)
 TEST(StampSites, DeferredAgeAndReaderSectionHistogramsPopulate)
 {
     using trace::HistId;
@@ -634,7 +622,6 @@ TEST(StampSites, DeferredAgeAndReaderSectionHistogramsPopulate)
     EXPECT_GT(count(HistId::kReaderSectionNs), 0u)
         << "read-side sections did not reach the section histogram";
 }
-#endif  // PRUDENCE_TELEMETRY_ENABLED
 
 // ---------------------------------------------------------------------
 // MemorySampler adapter (fig03's probe, now one telemetry probe).

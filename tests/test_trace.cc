@@ -326,10 +326,12 @@ TEST(MetricsRegistry, SnapshotWithResetStartsANewPhase)
 
     // The reset snapshot drained phase 1; phase 2 starts at zero.
     for (const MetricSnapshot& m : reg.snapshot_all()) {
-        if (m.name == "test.phase_counter")
+        if (m.name == "test.phase_counter") {
             EXPECT_EQ(m.value, 0u);
-        if (m.name == hist_name(HistId::kPrudenceAllocNs))
+        }
+        if (m.name == hist_name(HistId::kPrudenceAllocNs)) {
             EXPECT_EQ(m.hist.count, 0u);
+        }
     }
 }
 
@@ -359,8 +361,7 @@ TEST(EventInfo, EveryEventHasNameCategoryAndPhase)
 
 // ---------------------------------------------------------------------
 // Tracer sessions + exporter. These use the direct runtime API (not
-// the PRUDENCE_TRACE_* macros) so they exercise the session machinery
-// identically in PRUDENCE_TRACE=ON and =OFF builds.
+// the PRUDENCE_TRACE_* macros) to exercise the session machinery.
 // ---------------------------------------------------------------------
 
 TEST(Tracer, DisabledTracepointsRecordNothing)

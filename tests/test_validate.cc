@@ -181,8 +181,9 @@ TEST(Coloring, SuccessiveSlabsRotateOffsets)
     }
     // With more than one color slot, at least two distinct offsets
     // must appear.
-    if (g.color_slots > 1)
+    if (g.color_slots > 1) {
         EXPECT_GT(offsets.size(), 1u);
+    }
     for (SlabHeader* s : slabs)
         pool.release_slab(s);
 }

@@ -117,6 +117,8 @@ churn_main(Allocator& alloc, RcuDomain& domain, CacheId cache,
     constexpr std::size_t kSlots = 256;
     std::vector<void*> slots(kSlots, nullptr);
     std::uniform_int_distribution<std::size_t> pick(0, kSlots - 1);
+    // Read-side loads land here, so the compiler keeps them.
+    [[maybe_unused]] volatile std::uint64_t sink = 0;
 
     while (!stop.load(std::memory_order_relaxed)) {
         for (int burst = 0; burst < 64; ++burst) {
@@ -133,8 +135,11 @@ churn_main(Allocator& alloc, RcuDomain& domain, CacheId cache,
             RcuReadGuard guard(domain);
             for (int i = 0; i < 32; ++i) {
                 void* p = slots[pick(rng)];
-                if (p != nullptr)
-                    std::memcpy(&rng, p, sizeof(std::uint64_t));
+                if (p != nullptr) {
+                    std::uint64_t word = 0;
+                    std::memcpy(&word, p, sizeof(word));
+                    sink = word;
+                }
             }
         }
         std::this_thread::sleep_for(std::chrono::microseconds(200));
@@ -152,12 +157,6 @@ main(int argc, char** argv)
     Options opt;
     if (!parse_options(argc, argv, opt))
         return 2;
-
-#if !defined(PRUDENCE_TELEMETRY_ENABLED)
-    std::fprintf(stderr,
-                 "prudstat: built with PRUDENCE_TELEMETRY=OFF — no "
-                 "probes register, columns will be empty\n");
-#endif
 
     RcuConfig rcfg;
     rcfg.gp_interval = std::chrono::microseconds(500);

@@ -814,14 +814,6 @@ main(int argc, char** argv)
     if (!parse_options(argc, argv, opt))
         return 2;
 
-#if !defined(PRUDENCE_FAULT_ENABLED)
-    if (opt.faults) {
-        std::fprintf(stderr,
-                     "prudtorture: built with PRUDENCE_FAULT=OFF; "
-                     "running without fault injection\n");
-    }
-#endif
-
     prudence::RcuConfig rcu_cfg;
     rcu_cfg.gp_interval = std::chrono::microseconds(200);
     // Deterministic mode: no free-running GP thread — the updater
@@ -881,11 +873,6 @@ main(int argc, char** argv)
     std::unique_ptr<prudence::governor::AllocatorActuators> gov_acts;
     std::unique_ptr<prudence::governor::ReclamationGovernor> gov;
     if (opt.governor) {
-#if !defined(PRUDENCE_GOVERNOR_ENABLED)
-        std::fprintf(stderr,
-                     "prudtorture: built with PRUDENCE_GOVERNOR=OFF; "
-                     "--governor runs the inert stub\n");
-#endif
         prudence::telemetry::MonitorConfig mcfg;
         mcfg.period = std::chrono::milliseconds(1);
         gov_monitor =
@@ -940,7 +927,6 @@ main(int argc, char** argv)
     // Live per-layer console view: a Monitor polls the allocator,
     // domain and registry probes; a printer thread renders one
     // prudstat row per interval until the torture phase ends.
-#if defined(PRUDENCE_TELEMETRY_ENABLED)
     std::unique_ptr<prudence::telemetry::Monitor> stat_monitor;
     std::unique_ptr<prudence::telemetry::ProbeGroup> stat_probes;
     std::thread stat_thread;
@@ -967,12 +953,6 @@ main(int argc, char** argv)
             }
         });
     }
-#else
-    if (opt.prudstat)
-        std::fprintf(stderr,
-                     "prudtorture: built with PRUDENCE_TELEMETRY=OFF; "
-                     "--prudstat disabled\n");
-#endif
 
     std::vector<std::thread> updaters;
     std::vector<std::thread> others;
@@ -999,7 +979,6 @@ main(int argc, char** argv)
     for (auto& th : others)
         th.join();
 
-#if defined(PRUDENCE_TELEMETRY_ENABLED)
     if (stat_thread.joinable()) {
         stat_stop.store(true, std::memory_order_relaxed);
         stat_thread.join();
@@ -1010,7 +989,6 @@ main(int argc, char** argv)
         std::printf("prudstat: %" PRIu64 " sampling rounds\n",
                     stat_monitor->rounds());
     }
-#endif
 
     // Stop the governor before the fault report: no kGovernorAction
     // evaluation may land between the live capture and the replay

@@ -21,30 +21,15 @@
  *       clean sweep with the bug disarmed, then repeats the find for
  *       the unprotected-depot-pop bug on the lock-free leg.
  */
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
-#include <vector>
-
-#if !defined(PRUDENCE_SIM_ENABLED)
-
-int
-main()
-{
-    std::fprintf(stderr,
-                 "schedfuzz: this binary was built with PRUDENCE_SIM=OFF; "
-                 "the yield points are compiled out.\n"
-                 "Rebuild with -DPRUDENCE_SIM=ON (the default preset).\n");
-    return 2;
-}
-
-#else  // PRUDENCE_SIM_ENABLED
-
-#include <atomic>
-#include <chrono>
 #include <thread>
+#include <vector>
 
 #include "core/prudence_allocator.h"
 #include "rcu/rcu_domain.h"
@@ -559,5 +544,3 @@ main(int argc, char** argv)
                 static_cast<unsigned long long>(o.seeds));
     return 0;
 }
-
-#endif  // PRUDENCE_SIM_ENABLED
