@@ -72,8 +72,6 @@ site_name(SiteId id)
     return "unknown";
 }
 
-FaultInjector::FaultInjector() = default;
-
 void
 FaultInjector::Site::store_policy(const SitePolicy& p)
 {
@@ -94,12 +92,7 @@ FaultInjector::Site::load_policy() const
     return p;
 }
 
-FaultInjector&
-FaultInjector::instance()
-{
-    static FaultInjector injector;
-    return injector;
-}
+constinit FaultInjector detail::g_injector;
 
 void
 FaultInjector::reset(std::uint64_t seed)

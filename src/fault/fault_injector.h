@@ -109,7 +109,7 @@ struct SiteReport
 class FaultInjector
 {
   public:
-    FaultInjector();
+    constexpr FaultInjector() = default;
 
     FaultInjector(const FaultInjector&) = delete;
     FaultInjector& operator=(const FaultInjector&) = delete;
@@ -220,6 +220,19 @@ class FaultInjector
     /// Count of armed sites (fast gate; relaxed).
     std::atomic<std::uint32_t> armed_sites_{0};
 };
+
+namespace detail {
+/// The process-wide injector. Constant-initialised and trivially
+/// destructible, so it is usable from any static initialiser or
+/// destructor and needs no guard.
+extern constinit FaultInjector g_injector;
+}  // namespace detail
+
+inline FaultInjector&
+FaultInjector::instance()
+{
+    return detail::g_injector;
+}
 
 }  // namespace prudence::fault
 

@@ -7,7 +7,9 @@
  * "physical memory" in the simulation is a hard boundary: when the
  * buddy allocator has handed out every page, the system is out of
  * memory — exactly the condition the paper's Figure 3 drives SLUB+RCU
- * into.
+ * into. The region is advised for transparent huge pages
+ * (MADV_HUGEPAGE), so first touches fault in 2 MiB at a time where the
+ * host allows it.
  *
  * Construction is two-phase: Arena::create() returns std::nullopt
  * when the reservation fails (or the kArenaMap fault site fires), so

@@ -1,5 +1,8 @@
 #include "page/buddy_allocator.h"
 
+#include <sys/mman.h>
+
+#include <algorithm>
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
@@ -22,16 +25,14 @@ constexpr std::size_t kNoBlock = static_cast<std::size_t>(-1);
 BuddyAllocator::BuddyAllocator(const BuddyConfig& config)
     : cpu_registry_(config.cpus == 0 ? 1 : config.cpus)
 {
-    for (auto& head : free_heads_) {
-        head.prev = &head;
-        head.next = &head;
-    }
+    free_heads_.fill(kNil);
 
-    auto arena =
-        Arena::create(config.capacity_bytes < kPageSize
-                          ? kPageSize
-                          : config.capacity_bytes,
-                      order_bytes(kMaxPageOrder));
+    // Links are 32-bit pfns, so the arena holds fewer than kNil pages
+    // (16 TiB).
+    auto arena = Arena::create(
+        std::clamp(config.capacity_bytes, kPageSize,
+                   (std::size_t{kNil} - 1) * kPageSize),
+        order_bytes(kMaxPageOrder));
     if (!arena) {
         // Degraded state: no pages to hand out. Every alloc_pages()
         // reports OOM; the embedding allocators fail allocations
@@ -42,14 +43,36 @@ BuddyAllocator::BuddyAllocator(const BuddyConfig& config)
                      config.capacity_bytes);
         return;
     }
+    // The link arrays get a mapping of their own rather than a heap
+    // block: only the entries ever used are faulted in, and a
+    // megabytes-large free does not raise malloc's mmap and trim
+    // thresholds, which made the next allocator's heap blocks fault
+    // in again.
+    const std::size_t pages = arena->capacity() / kPageSize;
+    std::size_t entries = 0;
+    for (unsigned order = 0; order <= kMaxPageOrder; ++order) {
+        link_base_[order] = entries;
+        entries += (pages >> order) + 1;
+    }
+    const std::size_t link_bytes = entries * sizeof(FreeLink);
+    void* map = ::mmap(nullptr, link_bytes, PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+    if (map == MAP_FAILED) {
+        std::fprintf(stderr,
+                     "buddy: link array reservation of %zu bytes "
+                     "failed; allocator degraded\n",
+                     link_bytes);
+        return;
+    }
+    links_ = std::unique_ptr<FreeLink[], Unmap>(
+        static_cast<FreeLink*>(map), Unmap{link_bytes});
     arena_ = std::move(*arena);
-    total_pages_ = arena_.capacity() / kPageSize;
+    total_pages_ = pages;
     page_state_ =
-        std::make_unique<std::atomic<std::uint8_t>[]>(total_pages_);
-    for (std::size_t i = 0; i < total_pages_; ++i)
-        set_page_state(i, kStateAllocated);
+        std::make_unique_for_overwrite<std::uint8_t[]>(total_pages_);
 
-    // Carve the arena into the largest aligned blocks that fit.
+    // Carve the arena into the largest aligned blocks that fit. This
+    // one pass writes every page state, and no arena page.
     std::size_t pfn = 0;
     while (pfn < total_pages_) {
         unsigned order = kMaxPageOrder;
@@ -75,6 +98,12 @@ BuddyAllocator::BuddyAllocator(const BuddyConfig& config)
 
 BuddyAllocator::~BuddyAllocator() = default;
 
+void
+BuddyAllocator::Unmap::operator()(FreeLink* p) const
+{
+    ::munmap(p, bytes);
+}
+
 std::size_t
 BuddyAllocator::pfn_of(const void* p) const
 {
@@ -89,38 +118,57 @@ BuddyAllocator::addr_of(std::size_t pfn) const
 }
 
 void
+BuddyAllocator::pcp_push(PcpCache& c, std::size_t pfn, unsigned order)
+{
+    set_page_state(pfn, pcp_state(order));
+    link(pfn, order).next = c.heads[order];
+    c.heads[order] = static_cast<std::uint32_t>(pfn);
+    ++c.counts[order];
+}
+
+std::size_t
+BuddyAllocator::pcp_pop(PcpCache& c, unsigned order)
+{
+    std::uint32_t pfn = c.heads[order];
+    c.heads[order] = link(pfn, order).next;
+    --c.counts[order];
+    return pfn;
+}
+
+void
 BuddyAllocator::push_free(std::size_t pfn, unsigned order)
 {
     set_page_state(pfn, static_cast<std::uint8_t>(order));
     for (std::size_t i = 1; i < order_pages(order); ++i)
         set_page_state(pfn + i, kStateTail);
 
-    auto* node = static_cast<FreeBlock*>(addr_of(pfn));
-    FreeBlock& head = free_heads_[order];
-    node->next = head.next;
-    node->prev = &head;
-    head.next->prev = node;
-    head.next = node;
+    std::uint32_t head = free_heads_[order];
+    link(pfn, order) = FreeLink{kNil, head};
+    if (head != kNil)
+        link(head, order).prev = static_cast<std::uint32_t>(pfn);
+    free_heads_[order] = static_cast<std::uint32_t>(pfn);
     ++free_counts_[order];
 }
 
 void
 BuddyAllocator::remove_free(std::size_t pfn, unsigned order)
 {
-    auto* node = static_cast<FreeBlock*>(addr_of(pfn));
-    node->prev->next = node->next;
-    node->next->prev = node->prev;
+    const FreeLink l = link(pfn, order);
+    if (l.prev != kNil)
+        link(l.prev, order).next = l.next;
+    else
+        free_heads_[order] = l.next;
+    if (l.next != kNil)
+        link(l.next, order).prev = l.prev;
     --free_counts_[order];
 }
 
 std::size_t
 BuddyAllocator::pop_free(unsigned order)
 {
-    FreeBlock& head = free_heads_[order];
-    if (head.next == &head)
+    std::uint32_t pfn = free_heads_[order];
+    if (pfn == kNil)
         return kNoBlock;
-    FreeBlock* node = head.next;
-    std::size_t pfn = pfn_of(node);
     remove_free(pfn, order);
     return pfn;
 }
@@ -136,9 +184,10 @@ BuddyAllocator::global_pop(unsigned order)
     std::size_t pfn = pop_free(have);
     if (pfn == kNoBlock) {
         // free_counts_ said a block exists but the list is empty:
-        // the free lists are corrupt (a stray write into free
-        // block memory is the usual cause). Always-on check — a
-        // silent nullptr here would surface as an unrelated OOM.
+        // the allocator's own bookkeeping is inconsistent. The links
+        // live out of band, so a stray write into free block memory
+        // cannot cause this. Always-on check — a silent nullptr here
+        // would surface as an unrelated OOM.
         std::fprintf(stderr,
                      "buddy corruption: free list of order %u "
                      "empty with free_counts=%zu\n",
@@ -185,12 +234,10 @@ BuddyAllocator::pcp_alloc(unsigned order, bool* refill_refused)
     PcpCache& c = pcp_[cpu_registry_.cpu_id()];
     std::lock_guard<SpinLock> cpu_guard(c.lock);
 
-    if (FreeBlock* node = c.heads[order]) {
+    if (c.heads[order] != kNil) {
         // CPU-local hit: no global lock, no split.
-        c.heads[order] = node->next;
-        --c.counts[order];
+        std::size_t pfn = pcp_pop(c, order);
         ++c.hits;
-        std::size_t pfn = pfn_of(node);
         set_page_state(pfn, kStateAllocated);
         c.cached_pages -=
             static_cast<std::int64_t>(order_pages(order));
@@ -199,7 +246,7 @@ BuddyAllocator::pcp_alloc(unsigned order, bool* refill_refused)
         // contract, stats/counters.h).
         pages_in_use_.add(
             static_cast<std::int64_t>(order_pages(order)));
-        return node;
+        return addr_of(pfn);
     }
 
     ++c.misses;
@@ -231,11 +278,7 @@ BuddyAllocator::pcp_alloc(unsigned order, bool* refill_refused)
                 first = pfn;
                 continue;
             }
-            set_page_state(pfn, pcp_state(order));
-            auto* node = static_cast<FreeBlock*>(addr_of(pfn));
-            node->next = c.heads[order];
-            c.heads[order] = node;
-            ++c.counts[order];
+            pcp_push(c, pfn, order);
             ++stashed;
         }
         if (first != kNoBlock) {
@@ -279,11 +322,7 @@ BuddyAllocator::pcp_free(void* block, unsigned order, std::size_t pfn)
                      block, order, pfn + i);
     }
 
-    set_page_state(pfn, pcp_state(order));
-    auto* node = static_cast<FreeBlock*>(block);
-    node->next = c.heads[order];
-    c.heads[order] = node;
-    ++c.counts[order];
+    pcp_push(c, pfn, order);
     c.cached_pages += static_cast<std::int64_t>(order_pages(order));
     // Same covering lock as the cached_pages move above (snapshot
     // coherence contract, stats/counters.h).
@@ -296,12 +335,8 @@ BuddyAllocator::pcp_free(void* block, unsigned order, std::size_t pfn)
     // under one lock acquisition (merging amortized across the batch).
     std::size_t batch[kMaxPcpBatch];
     std::size_t n = 0;
-    while (n < pcp_batch_ && c.heads[order] != nullptr) {
-        FreeBlock* victim = c.heads[order];
-        c.heads[order] = victim->next;
-        --c.counts[order];
-        batch[n++] = pfn_of(victim);
-    }
+    while (n < pcp_batch_ && c.heads[order] != kNil)
+        batch[n++] = pcp_pop(c, order);
     // Drain window: the batch is unhooked from the stash but not yet
     // in the global lists — the span where a racing integrity walk or
     // remote drain must still see these pages as PCP-resident.
@@ -340,10 +375,7 @@ BuddyAllocator::trim_pcp(std::size_t keep_per_order)
             lock_acquisitions_.add();
             for (unsigned order = 0; order <= kPcpMaxOrder; ++order) {
                 while (c.counts[order] > keep_per_order) {
-                    FreeBlock* victim = c.heads[order];
-                    c.heads[order] = victim->next;
-                    --c.counts[order];
-                    global_push(pfn_of(victim), order);
+                    global_push(pcp_pop(c, order), order);
                     ++blocks;
                     pages += static_cast<std::int64_t>(
                         order_pages(order));
@@ -655,14 +687,18 @@ BuddyAllocator::check_integrity_locked() const
     // order; list lengths must match counters.
     for (unsigned order = 0; order <= kMaxPageOrder; ++order) {
         std::size_t n = 0;
-        const FreeBlock& head = free_heads_[order];
-        for (FreeBlock* node = head.next; node != &head;
-             node = node->next) {
-            std::size_t pfn = pfn_of(node);
+        std::uint32_t prev = kNil;
+        for (std::uint32_t pfn = free_heads_[order]; pfn != kNil;
+             pfn = link(pfn, order).next) {
+            if (pfn >= total_pages_ || n >= free_counts_[order])
+                return false;
             if ((pfn & (order_pages(order) - 1)) != 0)
                 return false;
             if (page_state(pfn) != static_cast<std::uint8_t>(order))
                 return false;
+            if (link(pfn, order).prev != prev)
+                return false;
+            prev = pfn;
             ++n;
         }
         if (n != free_counts_[order])
@@ -680,9 +716,10 @@ BuddyAllocator::check_integrity_locked() const
         std::size_t cpu_pages = 0;
         for (unsigned order = 0; order <= kPcpMaxOrder; ++order) {
             std::size_t n = 0;
-            for (FreeBlock* node = c.heads[order]; node != nullptr;
-                 node = node->next) {
-                std::size_t pfn = pfn_of(node);
+            for (std::uint32_t pfn = c.heads[order]; pfn != kNil;
+                 pfn = link(pfn, order).next) {
+                if (pfn >= total_pages_ || n >= c.counts[order])
+                    return false;
                 if ((pfn & (order_pages(order) - 1)) != 0)
                     return false;
                 if (page_state(pfn) != pcp_state(order))

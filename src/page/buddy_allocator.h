@@ -231,12 +231,25 @@ class BuddyAllocator
     bool check_integrity() const;
 
   private:
-    /// Intrusive free-list node living inside free block memory.
-    /// Global lists are doubly linked; PCP stashes use `next` only.
-    struct FreeBlock
+    /// Free-list link of one free block, kept out of band (link())
+    /// the way Linux links free pages through struct page rather than
+    /// through page memory. No list operation writes the arena, so
+    /// building the allocator touches no arena page, and a stray
+    /// write into free block memory cannot corrupt the lists. Links
+    /// hold head pfns; kNil ends a list. Global lists are doubly
+    /// linked; PCP stashes use `next` only.
+    struct FreeLink
     {
-        FreeBlock* prev;
-        FreeBlock* next;
+        std::uint32_t prev;
+        std::uint32_t next;
+    };
+    static constexpr std::uint32_t kNil = UINT32_MAX;
+
+    /// Deleter of the link array's private mapping.
+    struct Unmap
+    {
+        std::size_t bytes;
+        void operator()(FreeLink* p) const;
     };
 
     /// Per-page state: kStateAllocated, or the order of the free
@@ -244,7 +257,7 @@ class BuddyAllocator
     /// pages of free blocks, or kStatePcpBase|order for the head of
     /// a PCP-resident block (whose tail pages stay kStateAllocated).
     ///
-    /// Stored as relaxed atomics: the global lists mutate states
+    /// Accessed as relaxed atomics: the global lists mutate states
     /// under lock_, but PCP transitions (allocated <-> cached) happen
     /// under only the owning CPU's lock while merge scans may read
     /// the same byte under lock_. Every such racy read tolerates
@@ -275,8 +288,11 @@ class BuddyAllocator
     /// removes just moves into the cache-coherence fabric.
     struct alignas(kCacheLineSize) PcpCache
     {
+        PcpCache() { heads.fill(kNil); }
+
         SpinLock lock;
-        std::array<FreeBlock*, kPcpMaxOrder + 1> heads{};
+        /// Head pfn of each per-order stash (kNil when empty).
+        std::array<std::uint32_t, kPcpMaxOrder + 1> heads;
         std::array<std::size_t, kPcpMaxOrder + 1> counts{};
         /// Pages currently stashed on this CPU (free-but-cached).
         std::int64_t cached_pages = 0;
@@ -295,19 +311,35 @@ class BuddyAllocator
         return pcp_high_ > 0 && pcp_ != nullptr && order <= kPcpMaxOrder;
     }
 
+    /// Link of the order-@p order block at @p pfn. Each order has its
+    /// own array indexed by pfn >> order, so the links of one order's
+    /// free blocks are dense: carving the arena into max-order blocks
+    /// writes a page or two of links, not one per block.
+    FreeLink&
+    link(std::size_t pfn, unsigned order) const
+    {
+        return links_[link_base_[order] + (pfn >> order)];
+    }
+
     std::uint8_t
     page_state(std::size_t pfn) const
     {
-        return page_state_[pfn].load(std::memory_order_relaxed);
+        return std::atomic_ref<std::uint8_t>(page_state_[pfn])
+            .load(std::memory_order_relaxed);
     }
     void
     set_page_state(std::size_t pfn, std::uint8_t st)
     {
-        page_state_[pfn].store(st, std::memory_order_relaxed);
+        std::atomic_ref<std::uint8_t>(page_state_[pfn])
+            .store(st, std::memory_order_relaxed);
     }
 
     std::size_t pfn_of(const void* p) const;
     void* addr_of(std::size_t pfn) const;
+    /// Push @p pfn onto the PCP stash of @p order in @p c.
+    void pcp_push(PcpCache& c, std::size_t pfn, unsigned order);
+    /// Pop the head of @p c's stash of @p order (non-empty).
+    std::size_t pcp_pop(PcpCache& c, unsigned order);
     void push_free(std::size_t pfn, unsigned order);
     void remove_free(std::size_t pfn, unsigned order);
     std::size_t pop_free(unsigned order);
@@ -341,9 +373,15 @@ class BuddyAllocator
     std::size_t total_pages_ = 0;
 
     mutable SpinLock lock_;
-    std::array<FreeBlock, kMaxPageOrder + 1> free_heads_;
+    /// Head pfn of each global free list (kNil when empty).
+    std::array<std::uint32_t, kMaxPageOrder + 1> free_heads_;
     std::array<std::size_t, kMaxPageOrder + 1> free_counts_{};
-    std::unique_ptr<std::atomic<std::uint8_t>[]> page_state_;
+    /// The per-order link arrays, back to back in one private
+    /// anonymous mapping (about 16 bytes per arena page), so entries
+    /// of blocks that are never free are never faulted in.
+    std::unique_ptr<FreeLink[], Unmap> links_;
+    std::array<std::size_t, kMaxPageOrder + 1> link_base_{};
+    std::unique_ptr<std::uint8_t[]> page_state_;
 
     // ---- PCP layer (null / zero when disabled) ----
     CpuRegistry cpu_registry_;

@@ -114,14 +114,7 @@ yield_from_name(const char* name)
     return YieldId::kNone;
 }
 
-Scheduler::Scheduler() = default;
-
-Scheduler&
-Scheduler::instance()
-{
-    static Scheduler scheduler;
-    return scheduler;
-}
+constinit Scheduler detail::g_scheduler;
 
 void
 Scheduler::reset(std::uint64_t seed)
@@ -312,12 +305,6 @@ Scheduler::report_all() const
             out.push_back(r);
     }
     return out;
-}
-
-bool
-session_active()
-{
-    return Scheduler::instance().active();
 }
 
 void

@@ -34,9 +34,9 @@
  *    by delta-debugging this mask.
  *
  * Cost model:
- *  - No session active: one out-of-line session_active() call per
- *    yield point (a guarded function-local static, then a relaxed
- *    load).
+ *  - No session active: one relaxed load per yield point (the
+ *    process-wide Scheduler is a constant-initialised namespace-scope
+ *    object and session_active() is inline).
  *  - Session active: a fetch_add, one splitmix64 hash, a fingerprint
  *    XOR, and (when the decision fires) a short sleep or yield.
  */
@@ -154,7 +154,7 @@ struct YieldReport
 class Scheduler
 {
   public:
-    Scheduler();
+    constexpr Scheduler() = default;
 
     Scheduler(const Scheduler&) = delete;
     Scheduler& operator=(const Scheduler&) = delete;
@@ -273,9 +273,26 @@ class Scheduler
     std::array<Site, kSiteCount> sites_;
 };
 
+namespace detail {
+/// The process-wide scheduler. Constant-initialised and trivially
+/// destructible, so it is usable from any static initialiser or
+/// destructor and needs no guard.
+extern constinit Scheduler g_scheduler;
+}  // namespace detail
+
+inline Scheduler&
+Scheduler::instance()
+{
+    return detail::g_scheduler;
+}
+
 /// True while a sim session is running (relaxed; the hot-path gate
 /// shared by the yield-point and model-hook macros).
-bool session_active();
+inline bool
+session_active()
+{
+    return detail::g_scheduler.active();
+}
 
 // ---------------------------------------------------------------------
 // Deliberate bugs, reintroducible behind a runtime flag so schedfuzz

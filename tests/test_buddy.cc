@@ -3,6 +3,7 @@
  * Unit and property tests for the buddy page allocator.
  */
 #include <gtest/gtest.h>
+#include <sys/mman.h>
 
 #include <algorithm>
 #include <cstring>
@@ -138,6 +139,60 @@ TEST(Buddy, PeakTracksHighWaterMark)
     EXPECT_EQ(buddy.stats().peak_pages_in_use, 12);
     buddy.free_pages(a, 3);
     buddy.free_pages(c, 0);
+}
+
+// Pages of [base, base + bytes) that are resident in memory.
+std::size_t
+resident_pages(const std::byte* base, std::size_t bytes)
+{
+    std::vector<unsigned char> vec(bytes / kPageSize);
+    if (::mincore(const_cast<std::byte*>(base), bytes, vec.data()) != 0)
+        return static_cast<std::size_t>(-1);
+    return static_cast<std::size_t>(
+        std::count_if(vec.begin(), vec.end(),
+                      [](unsigned char v) { return (v & 1) != 0; }));
+}
+
+TEST(Buddy, ConstructionTouchesNoArenaPage)
+{
+    // The free-list links live out of band, so carving the arena into
+    // free blocks writes none of its pages (with or without PCP).
+    BuddyConfig cfg;
+    cfg.capacity_bytes = 64 << 20;
+    cfg.cpus = 4;
+    for (std::size_t high : {std::size_t{0}, std::size_t{32}}) {
+        cfg.pcp_high_watermark = high;
+        BuddyAllocator buddy(cfg);
+        ASSERT_TRUE(buddy.valid());
+        EXPECT_EQ(resident_pages(buddy.base(),
+                                 buddy.capacity_pages() * kPageSize),
+                  0u)
+            << "pcp_high_watermark " << high;
+        EXPECT_TRUE(buddy.check_integrity());
+    }
+}
+
+TEST(Buddy, ScribbledFreeBlockKeepsListsIntact)
+{
+    BuddyAllocator buddy(1 << 20);  // 256 pages
+    void* a = buddy.alloc_pages(3);
+    ASSERT_NE(a, nullptr);
+    buddy.free_pages(a, 3);
+    // A stray write over free memory: the freed block, then the whole
+    // (now entirely free) arena.
+    std::memset(a, 0xA5, order_bytes(3));
+    EXPECT_TRUE(buddy.check_integrity());
+    std::memset(buddy.base(), 0x5A, buddy.capacity_pages() * kPageSize);
+    EXPECT_TRUE(buddy.check_integrity());
+
+    std::vector<void*> blocks;
+    while (void* p = buddy.alloc_pages(0))
+        blocks.push_back(p);
+    EXPECT_EQ(blocks.size(), buddy.capacity_pages());
+    for (void* p : blocks)
+        buddy.free_pages(p, 0);
+    EXPECT_EQ(buddy.free_blocks(8), 1u);  // merged back to one block
+    EXPECT_TRUE(buddy.check_integrity());
 }
 
 TEST(Buddy, ConcurrentAllocFreeIsSafe)

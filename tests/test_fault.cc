@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "core/prudence_allocator.h"
@@ -36,6 +37,22 @@ TEST(FaultInjector, UnarmedNeverFires)
     for (int i = 0; i < 100; ++i)
         EXPECT_FALSE(fi.should_fire(SiteId::kBuddyAlloc));
     EXPECT_EQ(fi.report(SiteId::kBuddyAlloc).triggers, 0u);
+}
+
+static_assert(std::is_trivially_destructible_v<FaultInjector>,
+              "the process-wide injector needs no exit-time teardown");
+
+TEST(FaultInjector, LocalArmLeavesProcessGateIdle)
+{
+    FaultInjector fi;
+    fi.reset(1);
+    SitePolicy always;
+    always.every_nth = 1;
+    fi.arm(SiteId::kBuddyAlloc, always);
+    EXPECT_TRUE(fi.any_armed());
+    EXPECT_FALSE(FaultInjector::instance().any_armed());
+    EXPECT_FALSE(PRUDENCE_FAULT_POINT(kBuddyAlloc));
+    EXPECT_TRUE(fi.should_fire(SiteId::kBuddyAlloc));
 }
 
 TEST(FaultInjector, EveryNthFiresExactlyEveryNth)

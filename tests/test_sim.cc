@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <set>
+#include <type_traits>
 #include <vector>
 
 #include "sim/ref_model.h"
@@ -189,6 +190,20 @@ TEST(SimScheduler, InactiveSchedulerCountsNothing)
     // reset() wipes the counters for the next session.
     s.reset(6);
     EXPECT_EQ(s.report(YieldId::kMagFlush).evaluations, 0u);
+}
+
+static_assert(std::is_trivially_destructible_v<Scheduler>,
+              "the process-wide scheduler needs no exit-time teardown");
+
+TEST(SimScheduler, LocalSessionLeavesProcessGateIdle)
+{
+    Scheduler s;
+    s.reset(3);
+    s.start();
+    EXPECT_TRUE(s.active());
+    EXPECT_FALSE(prudence::sim::session_active());
+    EXPECT_FALSE(Scheduler::instance().active());
+    s.stop();
 }
 
 TEST(SimScheduler, PriorityIsBoundedAndEpochSensitive)
