@@ -1,17 +1,32 @@
 #!/bin/sh
-# Build a preset and run the prudtorture fault-injection harness plus
-# the tier-1 test suite. The torture run mixes readers, updaters and
-# OOM-stress threads over the Prudence allocator while injecting
-# faults at every seeded site, then checks the reclamation invariants
-# (no lost callbacks, no use-after-reclaim, accounting consistent at
-# quiesce). The default seed is fixed so failures reproduce.
+# Build a preset and run the prudtorture harness (DESIGN.md §8): the
+# tier-1 test suite, then the fault passes, then the schedule passes.
+#
+# Fault passes mix readers, updaters and OOM-stress threads over the
+# Prudence allocator while the fault sites fire under a fixed seed,
+# then check the reclamation invariants (no lost callbacks, no
+# use-after-reclaim, accounting consistent at quiesce, decisions equal
+# to their offline replay). Five passes cover the default config plus
+# the magazines-off, pcp-off, lockfree-off and governor legs.
+#
+# Schedule passes first run the self-test, which proves the seed sweep
+# still convicts the deliberately reintroduced interleaving bugs
+# (stale spill tag, unprotected depot pop) and passes clean on the
+# unmodified code; then four sweeps cover the default config plus the
+# magazines-off, pcp-off and lockfree-off ablations. A failing sweep
+# leaves a JSON report (seed, site mask, shrunk minimal mask, first
+# violation, replay line) in REPORT_DIR for upload as a CI artifact.
 #
 # Usage: scripts/check_torture.sh [preset] [extra prudtorture args...]
-#   preset    default | asan | tsan   (default: default)
+#   preset      default | asan | tsan | nolockfree  (default: default)
 # Environment:
-#   DURATION  torture run length in seconds      (default: 20)
-#   SEED      fault seed                         (default: 42)
-#   JOBS      parallel build/test jobs           (default: 2)
+#   PASSES      which of "test fault schedule" to run (default: all)
+#   DURATION    fault-pass run length in seconds    (default: 20)
+#   SEED        fault seed                          (default: 42)
+#   SEEDS       schedule sweep width per config     (default: 20)
+#   OPS         updates per updater per seed        (default: 300)
+#   JOBS        parallel build/test jobs            (default: 2)
+#   REPORT_DIR  where failing-run reports go        (default: build dir)
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -24,53 +39,60 @@ default) BUILD_DIR=build ;;
 *) BUILD_DIR="build-$PRESET" ;;
 esac
 
+PASSES="${PASSES:-test fault schedule}"
+REPORT_DIR="${REPORT_DIR:-$BUILD_DIR}"
+mkdir -p "$REPORT_DIR"
+TORTURE="$BUILD_DIR/tools/prudtorture"
+
 cmake --preset "$PRESET"
 cmake --build --preset "$PRESET" -j "${JOBS:-2}"
 
-ctest --preset "$PRESET" -j "${JOBS:-2}"
+case " $PASSES " in *" test "*)
+    ctest --preset "$PRESET" -j "${JOBS:-2}" ;;
+esac
 
-"$BUILD_DIR/tools/prudtorture" \
-    --duration="${DURATION:-20}" \
-    --fault-seed="${SEED:-42}" \
-    "$@"
+fault() {
+    echo "== fault pass: ${*:-default config} =="
+    "$TORTURE" --duration="${DURATION:-20}" --fault-seed="${SEED:-42}" \
+        --report="$REPORT_DIR/torture-fault.json" "$@"
+}
 
-# Second pass with the thread-local magazine layer disabled: the
-# per-operation paths (per-op epoch tagging, shared-counter stats)
-# must survive the same fault schedule.
-"$BUILD_DIR/tools/prudtorture" \
-    --duration="${DURATION:-20}" \
-    --fault-seed="${SEED:-42}" \
-    --magazine-capacity=0 \
-    "$@"
+schedule() {
+    name="$1"
+    shift
+    echo "== schedule sweep: $name =="
+    "$TORTURE" --seeds="${SEEDS:-20}" --ops="${OPS:-300}" \
+        --report="$REPORT_DIR/torture-$name.json" "$@"
+}
 
-# Third pass with the per-CPU page caches disabled: slab grow/release
-# takes the legacy single-lock buddy path, so checked-free, the OOM
-# ladder and quiesce accounting must hold without the PCP drain hook.
-"$BUILD_DIR/tools/prudtorture" \
-    --duration="${DURATION:-20}" \
-    --fault-seed="${SEED:-42}" \
-    --pcp-high-watermark=0 \
-    "$@"
+case " $PASSES " in *" fault "*)
+    fault "$@"
+    # The per-operation paths (per-op epoch tagging, shared-counter
+    # stats) must survive the same fault schedule.
+    fault --magazine-capacity=0 "$@"
+    # Slab grow/release takes the legacy single-lock buddy path, so
+    # checked-free, the OOM ladder and quiesce accounting must hold
+    # without the PCP drain hook.
+    fault --pcp-high-watermark=0 "$@"
+    # The legacy spinlock caches and locked magazine refill/flush
+    # (DESIGN.md §14) stay a first-class leg.
+    fault --lockfree-pcpu=0 "$@"
+    # The governor drives pacing/admission/trim while governor_action
+    # faults refuse a quarter of its dispatches: held actions must
+    # retry until they land, the OOM ladder must hand off into the
+    # governor's terminal level, and the decision audit must stay
+    # clean with the control loop in the picture.
+    fault --governor "$@"
+    ;;
+esac
 
-# Fourth pass with the lock-free per-CPU layer disabled (DESIGN.md
-# §14): the legacy spinlock caches and locked magazine refill/flush
-# must survive the same fault schedule, proving the toggle-off leg
-# stays a first-class citizen.
-"$BUILD_DIR/tools/prudtorture" \
-    --duration="${DURATION:-20}" \
-    --fault-seed="${SEED:-42}" \
-    --lockfree-pcpu=0 \
-    "$@"
+case " $PASSES " in *" schedule "*)
+    schedule selftest --self-test "$@"
+    schedule default "$@"
+    schedule nomag --magazine-capacity=0 "$@"
+    schedule nopcp --pcp-high-watermark=0 "$@"
+    schedule nolockfree --lockfree-pcpu=0 "$@"
+    ;;
+esac
 
-# Final pass with the adaptive reclamation governor driving the
-# pacing/admission/trim actuators while kGovernorAction faults refuse
-# a quarter of its dispatches: held actions must retry until they
-# land, the OOM ladder must hand off into the governor's terminal
-# level, and the fault-decision audit must stay clean with the
-# control loop in the picture. (The passes above are the
-# governor-off legs.)
-"$BUILD_DIR/tools/prudtorture" \
-    --duration="${DURATION:-20}" \
-    --fault-seed="${SEED:-42}" \
-    --governor \
-    "$@"
+echo "check_torture: passes [$PASSES] clean"

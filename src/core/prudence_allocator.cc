@@ -7,9 +7,8 @@
 #include <thread>
 #include <vector>
 
-#include "fault/fault_injector.h"
-#include "sim/ref_model.h"
-#include "sim/sim.h"
+#include "perturb/perturb.h"
+#include "perturb/ref_model.h"
 #include "slab/size_classes.h"
 #include "slab/validate.h"
 #include "telemetry/monitor.h"
@@ -454,14 +453,14 @@ PrudenceAllocator::merge_caches(Cache& c, PerCpu& pc, GpEpoch completed)
     // The `completed` value was read before this call: a delay here
     // makes it maximally stale, which a correct merge must tolerate
     // (stale completed is smaller — conservative).
-    PRUDENCE_SIM_YIELD(kLatentMerge);
+    PRUDENCE_PERTURB_POINT(kLatentMerge);
     // FIFO appends of a monotone epoch keep the ring mostly ordered;
     // stopping at the first unsafe entry never merges an unsafe one
     // and at worst delays later safe entries by one grace period.
     while (!pc.latent.empty() && !pc.cache.full() &&
            pc.latent.front().epoch <= completed) {
         const LatentRing::Entry& e = pc.latent.front();
-        PRUDENCE_SIM_STMT(sim::model_on_reuse(e.object));
+        PRUDENCE_MODEL_STMT(perturb::model_on_reuse(e.object));
         pc.cache.push(e.object);
         PRUDENCE_TRACE_STMT({
             if (e.defer_ts != 0 && merge_now >= e.defer_ts) {
@@ -659,20 +658,20 @@ PrudenceAllocator::free_deferred_impl(Cache& c, void* p)
         ThreadMagazines& t = thread_state();
         Magazine& m = t.ensure(c.index, magazine_capacity_for(c));
         ++m.stats.deferred_free_calls;
-        // Model bookkeeping (sim sessions only): the defer-time epoch
+        // Model bookkeeping (schedule sessions only): the defer-time epoch
         // is the floor any later spill tag must respect.
-        PRUDENCE_SIM_STMT(sim::model_on_defer(p, domain_.defer_epoch()));
+        PRUDENCE_MODEL_STMT(perturb::model_on_defer(p, domain_.defer_epoch()));
         // Deliberate bug kStaleSpillTag: remember the epoch at FIRST
         // buffer so the (buggy) spill can tag with it. See BugId.
-        PRUDENCE_SIM_STMT(
+        PRUDENCE_MODEL_STMT(
             if (m.defer_count == 0 &&
-                sim::bug_enabled(sim::BugId::kStaleSpillTag))
+                perturb::bug_enabled(perturb::BugId::kStaleSpillTag))
                 m.bug_first_epoch = domain_.defer_epoch());
         m.defers[m.defer_count++] = p;
         // The buffered-deferral window: grace periods that complete
         // between here and the spill are what make a stale batch tag
         // non-conservative.
-        PRUDENCE_SIM_YIELD(kMagDeferBuffer);
+        PRUDENCE_PERTURB_POINT(kMagDeferBuffer);
         if (m.defers_full())
             magazine_spill_defers(c, t, m);
         return;
@@ -693,10 +692,10 @@ PrudenceAllocator::free_deferred_impl(Cache& c, void* p)
     // object's latent entry (out of band — readers may still be
     // dereferencing the object itself).
     GpEpoch epoch = domain_.defer_epoch();
-    PRUDENCE_SIM_STMT(sim::model_on_defer(p, epoch));
+    PRUDENCE_MODEL_STMT(perturb::model_on_defer(p, epoch));
     // Between the epoch read and the latent push: the tag is fixed
     // but the object is not yet in shared custody.
-    PRUDENCE_SIM_YIELD(kLatentPush);
+    PRUDENCE_PERTURB_POINT(kLatentPush);
 
     PerCpu& pc = *c.cpus[cpu_registry_.cpu_id()];
     LatentRing::Entry spill[128];
@@ -710,7 +709,7 @@ PrudenceAllocator::free_deferred_impl(Cache& c, void* p)
             // at_limit(), not full(): the admission boundary is the
             // governor-resizable spill threshold (capacity nominally).
             if (!pc.latent.at_limit()) {  // fast path (lines 39-44)
-                PRUDENCE_SIM_STMT(sim::model_on_spill(p, epoch));
+                PRUDENCE_MODEL_STMT(perturb::model_on_spill(p, epoch));
                 pc.latent.push(p, epoch, defer_ts);
                 if (pc.cache.count() + pc.latent.count() >
                         pc.cache.capacity() &&
@@ -726,7 +725,7 @@ PrudenceAllocator::free_deferred_impl(Cache& c, void* p)
                 flush(c, pc, pc.cache.capacity() / 2 + 1);
             merge_caches(c, pc, domain_.completed_epoch());
             if (!pc.latent.at_limit()) {
-                PRUDENCE_SIM_STMT(sim::model_on_spill(p, epoch));
+                PRUDENCE_MODEL_STMT(perturb::model_on_spill(p, epoch));
                 pc.latent.push(p, epoch, defer_ts);
                 return;
             }
@@ -768,7 +767,7 @@ PrudenceAllocator::spill_entries(Cache& c,
     // The batch is out of the latent ring but not yet in the slab
     // rings: deferred_outstanding still counts it, but no structure
     // holds it — the window validate()'s identities must survive.
-    PRUDENCE_SIM_YIELD(kLatentSpill);
+    PRUDENCE_PERTURB_POINT(kLatentSpill);
     NodeLists& node = c.pool.node();
     bool want_shrink = false;
     {
@@ -998,7 +997,7 @@ PrudenceAllocator::magazine_alloc_slow(Cache& c, ThreadMagazines& t,
     bool refilled = false;
     // Refill hand-off: the magazine is empty and this thread is
     // committed to pulling a batch from shared state.
-    PRUDENCE_SIM_YIELD(kMagRefill);
+    PRUDENCE_PERTURB_POINT(kMagRefill);
     {
         stats.pcpu_lock_acquisitions.add();
         std::lock_guard<SpinLock> guard(pc.lock);
@@ -1059,7 +1058,7 @@ PrudenceAllocator::magazine_flush(Cache& c, ThreadMagazines& t,
         return;
     // Flush hand-off: the victims left the magazine but have not
     // reached the per-CPU cache; live_objects still counts them.
-    PRUDENCE_SIM_YIELD(kMagFlush);
+    PRUDENCE_PERTURB_POINT(kMagFlush);
     CacheStats& stats = c.pool.stats();
     PerCpu& pc = *c.cpus[t.cpu];
 
@@ -1075,7 +1074,7 @@ PrudenceAllocator::magazine_flush(Cache& c, ThreadMagazines& t,
             // Between filling the block and the publishing CAS: the
             // batch is in nobody's shared custody (live_objects still
             // counts it) — the window validate() must survive.
-            PRUDENCE_SIM_YIELD(kDepotExchange);
+            PRUDENCE_PERTURB_POINT(kDepotExchange);
             // Gauge before publish: once the CAS lands another thread
             // may pop the block and re-add these to live_objects, so
             // subtracting first keeps the peak gauge from counting
@@ -1132,14 +1131,14 @@ PrudenceAllocator::magazine_spill_defers(Cache& c, ThreadMagazines& t,
     // completed while the batch filled makes this tag smaller than a
     // later member's true defer epoch — the non-conservative tagging
     // the model's spill check exists to catch.
-    PRUDENCE_SIM_STMT(
-        if (sim::bug_enabled(sim::BugId::kStaleSpillTag))
+    PRUDENCE_MODEL_STMT(
+        if (perturb::bug_enabled(perturb::BugId::kStaleSpillTag))
             epoch = m.bug_first_epoch);
     PRUDENCE_TRACE_EMIT(trace::EventId::kMagDeferSpill, n, epoch);
     PRUDENCE_TELEM_STAMP(defer_ts);
     // Between fixing the batch tag and publishing the entries: the
     // window a concurrent grace-period advance must not invalidate.
-    PRUDENCE_SIM_YIELD(kMagSpillTag);
+    PRUDENCE_PERTURB_POINT(kMagSpillTag);
 
     // Lock-free deferral spill (DESIGN.md §14): the batch becomes one
     // epoch-stamped deferred depot block, published with a single CAS
@@ -1160,14 +1159,14 @@ PrudenceAllocator::magazine_spill_defers(Cache& c, ThreadMagazines& t,
         c.depot->deferred_blocks() * 2 < c.depot->block_budget()) {
         if (DepotMagazine* blk = c.depot->acquire_empty()) {
             for (std::size_t j = 0; j < n; ++j) {
-                PRUDENCE_SIM_STMT(
-                    sim::model_on_spill(m.defers[j], epoch));
+                PRUDENCE_MODEL_STMT(
+                    perturb::model_on_spill(m.defers[j], epoch));
                 blk->objs[j] = m.defers[j];
             }
             blk->count = n;
             blk->epoch = epoch;
             blk->defer_ts = defer_ts;
-            PRUDENCE_SIM_YIELD(kDepotExchange);
+            PRUDENCE_PERTURB_POINT(kDepotExchange);
             // Gauges before publish (same reason as the flush path):
             // a concurrent harvest must not double-count the batch.
             stats.live_objects.sub(static_cast<std::int64_t>(n));
@@ -1199,8 +1198,8 @@ PrudenceAllocator::magazine_spill_defers(Cache& c, ThreadMagazines& t,
                     static_cast<std::int64_t>(n));
             }
             while (i < n && !pc.latent.at_limit()) {
-                PRUDENCE_SIM_STMT(
-                    sim::model_on_spill(m.defers[i], epoch));
+                PRUDENCE_MODEL_STMT(
+                    perturb::model_on_spill(m.defers[i], epoch));
                 pc.latent.push(m.defers[i++], epoch, defer_ts);
             }
             if (i < n) {
@@ -1211,8 +1210,8 @@ PrudenceAllocator::magazine_spill_defers(Cache& c, ThreadMagazines& t,
                     flush(c, pc, pc.cache.capacity() / 2 + 1);
                 merge_caches(c, pc, refresh_completed(t));
                 while (i < n && !pc.latent.at_limit()) {
-                    PRUDENCE_SIM_STMT(
-                        sim::model_on_spill(m.defers[i], epoch));
+                    PRUDENCE_MODEL_STMT(
+                        perturb::model_on_spill(m.defers[i], epoch));
                     pc.latent.push(m.defers[i++], epoch, defer_ts);
                 }
             }
@@ -1360,14 +1359,14 @@ PrudenceAllocator::depot_pop_reusable(Cache& c, ThreadMagazines& t,
         // Between reading the block's tag and claiming its members:
         // `completed` was read before this window, so it can only be
         // stale-small — the check below stays conservative.
-        PRUDENCE_SIM_YIELD(kDepotHarvest);
+        PRUDENCE_PERTURB_POINT(kDepotHarvest);
         bool safe = blk->epoch <= completed;
         // Deliberate bug kUnprotectedDepotPop: treat every deferred
         // block as reusable. Members still inside their grace period
         // reach allocators — the reuse-before-grace-period violation
         // the model's reuse check exists to catch. See BugId.
-        PRUDENCE_SIM_STMT(
-            if (sim::bug_enabled(sim::BugId::kUnprotectedDepotPop))
+        PRUDENCE_MODEL_STMT(
+            if (perturb::bug_enabled(perturb::BugId::kUnprotectedDepotPop))
                 safe = true);
         if (safe) {
             found = blk;
@@ -1389,7 +1388,7 @@ PrudenceAllocator::depot_pop_reusable(Cache& c, ThreadMagazines& t,
         return nullptr;
     }
     for (std::size_t i = 0; i < found->count; ++i)
-        PRUDENCE_SIM_STMT(sim::model_on_reuse(found->objs[i]));
+        PRUDENCE_MODEL_STMT(perturb::model_on_reuse(found->objs[i]));
     record_depot_ages(*found);
     stats.deferred_outstanding.sub(
         static_cast<std::int64_t>(found->count));
@@ -1410,17 +1409,17 @@ PrudenceAllocator::depot_harvest_safe(Cache& c)
         blocks.push_back(blk);
     std::size_t harvested = 0;
     for (DepotMagazine* blk : blocks) {
-        PRUDENCE_SIM_YIELD(kDepotHarvest);
+        PRUDENCE_PERTURB_POINT(kDepotHarvest);
         bool safe = blk->epoch <= completed;
-        PRUDENCE_SIM_STMT(
-            if (sim::bug_enabled(sim::BugId::kUnprotectedDepotPop))
+        PRUDENCE_MODEL_STMT(
+            if (perturb::bug_enabled(perturb::BugId::kUnprotectedDepotPop))
                 safe = true);
         if (!safe) {
             d.push_deferred(blk);
             continue;
         }
         for (std::size_t i = 0; i < blk->count; ++i)
-            PRUDENCE_SIM_STMT(sim::model_on_reuse(blk->objs[i]));
+            PRUDENCE_MODEL_STMT(perturb::model_on_reuse(blk->objs[i]));
         record_depot_ages(*blk);
         c.pool.stats().deferred_outstanding.sub(
             static_cast<std::int64_t>(blk->count));
@@ -1503,7 +1502,7 @@ PrudenceAllocator::depot_drain(Cache& c, std::size_t keep_full_blocks)
                 continue;  // handled (preserved) below
             record_depot_ages(*blk);
             for (std::size_t i = 0; i < blk->count; ++i) {
-                PRUDENCE_SIM_STMT(sim::model_on_reuse(blk->objs[i]));
+                PRUDENCE_MODEL_STMT(perturb::model_on_reuse(blk->objs[i]));
                 SlabHeader* slab = c.pool.slab_of(blk->objs[i]);
                 assert(slab->magic == SlabHeader::kMagicLive);
                 slab->freelist_push(blk->objs[i]);
@@ -1858,7 +1857,7 @@ PrudenceAllocator::reclaim_cache(Cache& c, bool fill_caches)
             std::lock_guard<SpinLock> node_guard(node.lock);
             for (const auto& e : spill) {
                 SlabHeader* slab = c.pool.slab_of(e.object);
-                PRUDENCE_SIM_STMT(sim::model_on_reuse(e.object));
+                PRUDENCE_MODEL_STMT(perturb::model_on_reuse(e.object));
                 slab->freelist_push(e.object);
                 node.move_to(slab, NodeLists::deferred_aware_kind(slab));
             }

@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
-#include "fault/fault_injector.h"
-#include "sim/sim.h"
+#include "perturb/perturb.h"
 #include "trace/tracer.h"
 
 namespace prudence::governor {
@@ -205,13 +204,14 @@ bool
 ReclamationGovernor::dispatch(ActionId action, std::uint64_t arg,
                               SchemeState* owner)
 {
-    // The fault site models a stuck actuation: the dispatch is
+    // A failing site models a stuck actuation: the dispatch is
     // refused, the applied state stays put, and (for held actions)
     // the same dispatch is retried next round. The OOM ladder remains
-    // the backstop throughout.
+    // the backstop throughout. Under the schedule policy the site
+    // instead delays the actuation against allocator traffic and
+    // quiesce.
     bool ok = false;
     if (!PRUDENCE_FAULT_POINT(kGovernorAction)) {
-        PRUDENCE_SIM_YIELD(kGovernorActuate);
         switch (action) {
         case ActionId::kExpediteGp:
         case ActionId::kWidenCbBatch:

@@ -332,7 +332,7 @@ class ReclamationGovernor
     };
 
     void evaluate_locked(std::uint64_t t_ns);
-    /// One guarded actuator dispatch: fault gate, sim yield, trace,
+    /// One guarded actuator dispatch: perturbation site, trace,
     /// counters. @p owner receives effect/refusal attribution (may be
     /// null for relax-to-nominal and ladder-driven dispatches).
     bool dispatch(ActionId action, std::uint64_t arg,

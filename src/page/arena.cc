@@ -4,7 +4,7 @@
 
 #include <utility>
 
-#include "fault/fault_injector.h"
+#include "perturb/perturb.h"
 #include "sync/cacheline.h"
 
 namespace prudence {

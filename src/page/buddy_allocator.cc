@@ -10,8 +10,7 @@
 #include <mutex>
 #include <string>
 
-#include "fault/fault_injector.h"
-#include "sim/sim.h"
+#include "perturb/perturb.h"
 #include "telemetry/monitor.h"
 #include "telemetry/telemetry.h"
 #include "trace/tracer.h"
@@ -253,7 +252,6 @@ BuddyAllocator::pcp_alloc(unsigned order, bool* refill_refused)
     // Refill window: this CPU is committed to a batched global pull
     // but has taken nothing yet; a delay here lets other CPUs drain or
     // exhaust the global lists first.
-    PRUDENCE_SIM_YIELD(kPcpRefill);
     if (PRUDENCE_FAULT_POINT(kPcpRefill)) {
         // Injected refill refusal: the batch refill is suppressed and
         // the caller falls back to the plain single-block global
@@ -340,7 +338,7 @@ BuddyAllocator::pcp_free(void* block, unsigned order, std::size_t pfn)
     // Drain window: the batch is unhooked from the stash but not yet
     // in the global lists — the span where a racing integrity walk or
     // remote drain must still see these pages as PCP-resident.
-    PRUDENCE_SIM_YIELD(kPcpDrain);
+    PRUDENCE_PERTURB_POINT(kPcpDrain);
     {
         std::lock_guard<SpinLock> guard(lock_);
         lock_acquisitions_.add();

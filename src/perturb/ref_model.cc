@@ -1,6 +1,6 @@
-#include "sim/ref_model.h"
+#include "perturb/ref_model.h"
 
-namespace prudence::sim {
+namespace prudence::perturb {
 
 std::atomic<ModelChecker*> ModelChecker::installed_{nullptr};
 
@@ -171,4 +171,4 @@ model_on_reader_unlock(std::uint64_t slot)
         m->on_reader_unlock(slot);
 }
 
-}  // namespace prudence::sim
+}  // namespace prudence::perturb

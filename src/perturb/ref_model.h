@@ -1,7 +1,7 @@
 /**
  * @file
  * Sequential reference model of the epoch/defer state machine
- * (DESIGN.md §11.3).
+ * (DESIGN.md §8).
  *
  * The allocator's reclamation safety argument is three claims:
  *
@@ -16,13 +16,13 @@
  *       tag, and no live reader section still holds a snapshot <= that
  *       tag.
  *   I3 (conservation)          — free + cached + used pages equal the
- *       arena capacity at every quiesce (checked by the schedfuzz
+ *       arena capacity at every quiesce (checked by the prudtorture
  *       driver through BuddyAllocator::check_integrity + stats; not
  *       part of this per-object model).
  *
  * The ModelChecker tracks every deferred object through
  * defer -> spill -> reuse against I1/I2 while the real allocator runs
- * under the sim scheduler. Hooks live behind PRUDENCE_SIM_STMT in the
+ * under a schedule session. Hooks live behind PRUDENCE_MODEL_STMT in the
  * production sources, so while no session is active each hook costs
  * one session_active() check.
  *
@@ -35,8 +35,8 @@
  *  - reader unregistration happens at unlock ENTRY, so a reader
  *    snapshot never outlives the critical section it covers.
  */
-#ifndef PRUDENCE_SIM_REF_MODEL_H
-#define PRUDENCE_SIM_REF_MODEL_H
+#ifndef PRUDENCE_PERTURB_REF_MODEL_H
+#define PRUDENCE_PERTURB_REF_MODEL_H
 
 #include <atomic>
 #include <cstdint>
@@ -46,7 +46,7 @@
 #include <unordered_map>
 #include <vector>
 
-namespace prudence::sim {
+namespace prudence::perturb {
 
 /// One invariant violation caught by the model.
 struct Violation
@@ -61,8 +61,8 @@ struct Violation
 };
 
 /**
- * The sequential reference model. One instance per schedfuzz run;
- * installed process-wide so the PRUDENCE_SIM_STMT hooks in the
+ * The sequential reference model. One instance per seeded run;
+ * installed process-wide so the PRUDENCE_MODEL_STMT hooks in the
  * allocator can reach it without plumbing.
  */
 class ModelChecker
@@ -98,7 +98,7 @@ class ModelChecker
     /// Forget all tracked objects and violations (new run, same hooks).
     void clear();
 
-    // ---- hooks (called via PRUDENCE_SIM_STMT in production code) ----
+    // ---- hooks (called via PRUDENCE_MODEL_STMT in production code) ----
 
     /// @p obj was handed to free_deferred; @p epoch_now is the
     /// domain's defer_epoch() at that moment.
@@ -156,7 +156,7 @@ class ModelChecker
     static std::atomic<ModelChecker*> installed_;
 };
 
-// Free-function hook veneers: PRUDENCE_SIM_STMT sites call these so
+// Free-function hook veneers: PRUDENCE_MODEL_STMT sites call these so
 // the production sources need only this header's declarations, not
 // the installed-instance plumbing.
 
@@ -166,6 +166,6 @@ void model_on_reuse(const void* obj);
 void model_on_reader_lock(std::uint64_t slot, std::uint64_t snapshot);
 void model_on_reader_unlock(std::uint64_t slot);
 
-}  // namespace prudence::sim
+}  // namespace prudence::perturb
 
-#endif  // PRUDENCE_SIM_REF_MODEL_H
+#endif  // PRUDENCE_PERTURB_REF_MODEL_H

@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <mutex>
 
-#include "fault/fault_injector.h"
-#include "sim/sim.h"
+#include "perturb/perturb.h"
 #include "telemetry/telemetry.h"
 #include "trace/tracer.h"
 
@@ -80,7 +79,7 @@ CallbackEngine::process_cpu(unsigned cpu, std::size_t limit)
         // Between collecting the batch and invoking it: the callbacks
         // are already off the queue, so a concurrent drain_all or
         // engine teardown must still account for them via backlog_.
-        PRUDENCE_SIM_YIELD(kCbHandOff);
+        PRUDENCE_PERTURB_POINT(kCbHandOff);
         // One clock read covers the whole batch: callback ages are
         // milliseconds-scale (a grace period at minimum), so the
         // intra-batch skew is noise.
@@ -137,10 +136,10 @@ CallbackEngine::drainer_main()
 {
     while (running_.load(std::memory_order_acquire)) {
         if (PRUDENCE_FAULT_POINT(kDrainerStall)) {
-            // Injected lost tick: the drainer sleeps without
-            // processing, growing the backlog exactly like a
+            // Injected lost tick: the drainer sleeps (the site's stall,
+            // already slept by the failing arrival, then one tick)
+            // without processing, growing the backlog exactly like a
             // descheduled softirq would.
-            PRUDENCE_FAULT_STALL(kDrainerStall);
             std::this_thread::sleep_for(config_.tick);
             continue;
         }

@@ -3,9 +3,8 @@
 #include <cassert>
 #include <chrono>
 
-#include "fault/fault_injector.h"
-#include "sim/ref_model.h"
-#include "sim/sim.h"
+#include "perturb/perturb.h"
+#include "perturb/ref_model.h"
 #include "sync/backoff.h"
 #include "telemetry/monitor.h"
 #include "telemetry/telemetry.h"
@@ -57,7 +56,7 @@ RcuDomain::read_lock()
         // Model registration strictly after the real publication: the
         // model may miss a just-started reader (conservative) but can
         // never hold one the grace-period scan could not also see.
-        PRUDENCE_SIM_STMT(sim::model_on_reader_lock(
+        PRUDENCE_MODEL_STMT(perturb::model_on_reader_lock(
             reinterpret_cast<std::uintptr_t>(&slot), snapshot));
         PRUDENCE_TELEM_STAMP(section_start_ns);
         slot.section_start_ns = section_start_ns;
@@ -73,7 +72,7 @@ RcuDomain::read_unlock()
         // Model unregistration strictly before the real quiescent
         // store: once the grace-period scan can observe this reader
         // gone, the model already agrees.
-        PRUDENCE_SIM_STMT(sim::model_on_reader_unlock(
+        PRUDENCE_MODEL_STMT(perturb::model_on_reader_unlock(
             reinterpret_cast<std::uintptr_t>(&slot)));
         if (slot.section_start_ns != 0) {
             PRUDENCE_TELEM_STMT(
@@ -148,13 +147,13 @@ RcuDomain::advance()
     gp_target_.store(t1, std::memory_order_release);
     // Injected grace-period delay: stretches this GP so the stall
     // detector (and OOM backoff paths) can be exercised on demand.
-    PRUDENCE_FAULT_STALL(kGpDelay);
+    PRUDENCE_PERTURB_POINT(kGpDelay);
     std::atomic_thread_fence(std::memory_order_seq_cst);
     wait_for_readers(t1);
 
     // Between the two reader waits: a delayed reader that raced phase
     // 1 is exactly what phase 2 exists to close.
-    PRUDENCE_SIM_YIELD(kGpPhase);
+    PRUDENCE_PERTURB_POINT(kGpPhase);
 
     // Phase 2: closes the delayed-reader window (a thread that read
     // the counter before phase 1's increment but had not yet
@@ -167,7 +166,7 @@ RcuDomain::advance()
     // Between the reader waits completing and completed_ publishing:
     // consumers polling completed_epoch() during this window must keep
     // treating the grace period as unfinished.
-    PRUDENCE_SIM_YIELD(kGpPublish);
+    PRUDENCE_PERTURB_POINT(kGpPublish);
 
     gp_target_.store(0, std::memory_order_release);
     // Last completed grace period's wall duration: a telemetry probe

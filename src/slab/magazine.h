@@ -94,7 +94,7 @@ struct alignas(kCacheLineSize) Magazine
     std::size_t defer_count = 0;
     std::size_t defer_capacity;
     std::unique_ptr<void*[]> defers;
-    /// Deliberate-bug scratch (sim::BugId::kStaleSpillTag): the epoch
+    /// Deliberate-bug scratch (perturb::BugId::kStaleSpillTag): the epoch
     /// observed when the FIRST object of the current batch was
     /// buffered. Tagging the spill with this instead of a fresh
     /// defer_epoch() read is exactly the non-conservative bug the

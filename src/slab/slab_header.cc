@@ -3,8 +3,8 @@
 #include <mutex>
 #include <new>
 
-#include "sim/ref_model.h"
-#include "sim/sim.h"
+#include "perturb/perturb.h"
+#include "perturb/ref_model.h"
 #include "sync/cacheline.h"
 
 namespace prudence {
@@ -56,7 +56,7 @@ merge_safe_latent(SlabHeader* slab, GpEpoch completed)
         // The freelist push makes the object allocatable again: the
         // model's reuse check runs against the authoritative completed
         // epoch and the live reader set.
-        PRUDENCE_SIM_STMT(sim::model_on_reuse(
+        PRUDENCE_MODEL_STMT(perturb::model_on_reuse(
             slab->object_at(slab->ring_front().index)));
         slab->freelist_push(slab->object_at(slab->ring_front().index));
         slab->ring_pop_front();

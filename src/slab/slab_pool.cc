@@ -5,7 +5,7 @@
 #include <utility>
 #include <vector>
 
-#include "fault/fault_injector.h"
+#include "perturb/perturb.h"
 #include "trace/tracer.h"
 
 namespace prudence {

@@ -4,7 +4,7 @@
 #include <cassert>
 #include <stdexcept>
 
-#include "fault/fault_injector.h"
+#include "perturb/perturb.h"
 #include "slab/size_classes.h"
 #include "slab/validate.h"
 #include "telemetry/monitor.h"

@@ -39,7 +39,7 @@
 #include <cstdint>
 #include <memory>
 
-#include "sim/sim.h"
+#include "perturb/perturb.h"
 #include "sync/cacheline.h"
 
 namespace prudence {
@@ -74,7 +74,7 @@ public:
             std::intptr_t dif = static_cast<std::intptr_t>(seq) -
                                 static_cast<std::intptr_t>(pos);
             if (dif == 0) {
-                PRUDENCE_SIM_YIELD(kLfRing);
+                PRUDENCE_PERTURB_POINT(kLfRing);
                 if (enqueue_pos_.compare_exchange_weak(
                         pos, pos + 1, std::memory_order_relaxed)) {
                     cell.object = obj;
@@ -103,7 +103,7 @@ public:
                 static_cast<std::intptr_t>(seq) -
                 static_cast<std::intptr_t>(pos + 1);
             if (dif == 0) {
-                PRUDENCE_SIM_YIELD(kLfRing);
+                PRUDENCE_PERTURB_POINT(kLfRing);
                 if (dequeue_pos_.compare_exchange_weak(
                         pos, pos + 1, std::memory_order_relaxed)) {
                     void* obj = cell.object;

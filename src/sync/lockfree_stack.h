@@ -65,7 +65,7 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "sim/sim.h"
+#include "perturb/perturb.h"
 
 namespace prudence {
 
@@ -96,7 +96,7 @@ public:
         for (;;) {
             node->next.store(unpack_ptr(head),
                              std::memory_order_relaxed);
-            PRUDENCE_SIM_YIELD(kLfStackPush);
+            PRUDENCE_PERTURB_POINT(kLfStackPush);
             if (head_.compare_exchange_weak(
                     head, pack(node, unpack_tag(head) + 1),
                     std::memory_order_release,
@@ -122,7 +122,7 @@ public:
             // are type-stable, and a stale `next` fails the CAS
             // (tag moved).
             Hook* next = node->next.load(std::memory_order_relaxed);
-            PRUDENCE_SIM_YIELD(kLfStackPop);
+            PRUDENCE_PERTURB_POINT(kLfStackPop);
             if (head_.compare_exchange_weak(
                     head, pack(next, unpack_tag(head) + 1),
                     std::memory_order_acquire,

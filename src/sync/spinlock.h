@@ -12,7 +12,7 @@
 
 #include <atomic>
 
-#include "sim/sim.h"
+#include "perturb/perturb.h"
 #include "sync/backoff.h"
 
 namespace prudence {
@@ -42,9 +42,10 @@ class SpinLock
     lock()
     {
         // Perturbing lock-acquisition order is the cheapest generic
-        // interleaving lever: whoever the sim delays here loses the
-        // race for every per-CPU / node-level critical section.
-        PRUDENCE_SIM_YIELD(kSpinLockAcquire);
+        // interleaving lever: whoever a schedule session delays here
+        // loses the race for every per-CPU / node-level critical
+        // section.
+        PRUDENCE_PERTURB_POINT(kSpinLockAcquire);
         Backoff backoff;
         for (;;) {
             if (!locked_.exchange(true, std::memory_order_acquire))

@@ -26,8 +26,8 @@
 
 #include "api/allocator_factory.h"
 #include "core/prudence_allocator.h"
-#include "fault/fault_injector.h"
 #include "page/buddy_allocator.h"
+#include "perturb/perturb.h"
 #include "rcu/rcu_domain.h"
 #include "stats/cache_stats.h"
 #include "workload/engine.h"
@@ -36,13 +36,13 @@
 
 namespace {
 
-using prudence::fault::FaultInjector;
-using prudence::fault::SiteId;
-using prudence::fault::SitePolicy;
+using prudence::perturb::Injector;
+using prudence::perturb::Policy;
+using prudence::perturb::SiteId;
 
 struct RunResult
 {
-    std::vector<prudence::fault::SiteReport> sites;
+    std::vector<prudence::perturb::SiteReport> sites;
     std::vector<prudence::CacheStatsSnapshot> snaps;
     prudence::BuddyStatsSnapshot buddy;
     std::uint64_t alloc_failures = 0;
@@ -54,14 +54,14 @@ constexpr std::size_t kSlots = 128;
 RunResult
 run_once(std::uint64_t seed)
 {
-    FaultInjector& fi = FaultInjector::instance();
+    Injector& fi = Injector::instance();
     fi.reset(seed);
-    SitePolicy prob;
+    Policy prob;
     prob.probability = 0.02;
     fi.arm(SiteId::kBuddyAlloc, prob);
     fi.arm(SiteId::kSlabGrow, prob);
     fi.arm(SiteId::kRefillFail, prob);
-    SitePolicy nth;
+    Policy nth;
     nth.every_nth = 7;
     fi.arm(SiteId::kSlowPath, nth);
 
@@ -117,11 +117,11 @@ expect_sites_equal(const RunResult& a, const RunResult& b)
         const auto& y = b.sites[i];
         EXPECT_EQ(x.id, y.id);
         EXPECT_EQ(x.evaluations, y.evaluations)
-            << prudence::fault::site_name(x.id);
-        EXPECT_EQ(x.triggers, y.triggers)
-            << prudence::fault::site_name(x.id);
+            << prudence::perturb::site_name(x.id);
+        EXPECT_EQ(x.fires, y.fires)
+            << prudence::perturb::site_name(x.id);
         EXPECT_EQ(x.fingerprint, y.fingerprint)
-            << prudence::fault::site_name(x.id);
+            << prudence::perturb::site_name(x.id);
     }
 }
 
@@ -136,12 +136,12 @@ TEST(Determinism, SameSeedSameFingerprintsAndAccounting)
     // Live fingerprints must also equal their own offline replay.
     for (const auto& r : a.sites) {
         EXPECT_EQ(r.fingerprint,
-                  FaultInjector::expected_fingerprint(
+                  Injector::expected_fingerprint(
                       42, r.id, r.policy, r.evaluations))
-            << prudence::fault::site_name(r.id);
-        EXPECT_EQ(r.triggers, FaultInjector::expected_triggers(
+            << prudence::perturb::site_name(r.id);
+        EXPECT_EQ(r.fires, Injector::expected_fires(
                                   42, r.id, r.policy, r.evaluations))
-            << prudence::fault::site_name(r.id);
+            << prudence::perturb::site_name(r.id);
     }
 
     // Accounting snapshot: every counter, not just the totals.

@@ -1,29 +1,34 @@
 /**
  * @file
- * Tests for the fault-injection subsystem: policy semantics, seed
- * determinism and the offline-replay contract; plus the allocator
- * behaviors the sites exist to exercise — graceful OOM degradation
- * and the grace-period wait-and-retry escalation.
+ * Tests for the fault policies of the perturbation layer (src/perturb/):
+ * policy semantics, seed determinism and the offline-replay contract;
+ * plus the allocator behaviors the sites exist to exercise — graceful
+ * OOM degradation, throttled callback processing and the grace-period
+ * wait-and-retry escalation.
  */
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <thread>
 #include <type_traits>
 #include <vector>
 
 #include "core/prudence_allocator.h"
-#include "fault/fault_injector.h"
 #include "page/arena.h"
 #include "page/buddy_allocator.h"
+#include "perturb/perturb.h"
+#include "rcu/callback_engine.h"
 #include "rcu/grace_period.h"
 #include "rcu/manual_domain.h"
 
 namespace prudence {
 namespace {
 
-using fault::FaultInjector;
-using fault::SiteId;
-using fault::SitePolicy;
+using perturb::Injector;
+using perturb::Policy;
+using perturb::SiteId;
 
 // ---------------------------------------------------------------------
 // Injector semantics (isolated instances, not the wired sites).
@@ -31,40 +36,40 @@ using fault::SitePolicy;
 
 TEST(FaultInjector, UnarmedNeverFires)
 {
-    FaultInjector fi;
+    Injector fi;
     fi.reset(1);
     EXPECT_FALSE(fi.any_armed());
     for (int i = 0; i < 100; ++i)
-        EXPECT_FALSE(fi.should_fire(SiteId::kBuddyAlloc));
-    EXPECT_EQ(fi.report(SiteId::kBuddyAlloc).triggers, 0u);
+        EXPECT_FALSE(fi.arrive(SiteId::kBuddyAlloc));
+    EXPECT_EQ(fi.report(SiteId::kBuddyAlloc).fires, 0u);
 }
 
-static_assert(std::is_trivially_destructible_v<FaultInjector>,
+static_assert(std::is_trivially_destructible_v<Injector>,
               "the process-wide injector needs no exit-time teardown");
 
 TEST(FaultInjector, LocalArmLeavesProcessGateIdle)
 {
-    FaultInjector fi;
+    Injector fi;
     fi.reset(1);
-    SitePolicy always;
+    Policy always;
     always.every_nth = 1;
     fi.arm(SiteId::kBuddyAlloc, always);
     EXPECT_TRUE(fi.any_armed());
-    EXPECT_FALSE(FaultInjector::instance().any_armed());
+    EXPECT_FALSE(Injector::instance().any_armed());
     EXPECT_FALSE(PRUDENCE_FAULT_POINT(kBuddyAlloc));
-    EXPECT_TRUE(fi.should_fire(SiteId::kBuddyAlloc));
+    EXPECT_TRUE(fi.arrive(SiteId::kBuddyAlloc));
 }
 
 TEST(FaultInjector, EveryNthFiresExactlyEveryNth)
 {
-    FaultInjector fi;
+    Injector fi;
     fi.reset(7);
-    SitePolicy p;
+    Policy p;
     p.every_nth = 5;
     fi.arm(SiteId::kRefillFail, p);
     int fired = 0;
     for (int i = 0; i < 100; ++i) {
-        bool f = fi.should_fire(SiteId::kRefillFail);
+        bool f = fi.arrive(SiteId::kRefillFail);
         EXPECT_EQ(f, (i + 1) % 5 == 0) << "evaluation " << i;
         fired += f;
     }
@@ -73,108 +78,110 @@ TEST(FaultInjector, EveryNthFiresExactlyEveryNth)
 
 TEST(FaultInjector, OneShotFiresExactlyOnce)
 {
-    FaultInjector fi;
+    Injector fi;
     fi.reset(9);
-    SitePolicy p;
+    Policy p;
     p.one_shot = true;
     fi.arm(SiteId::kGpDelay, p);
     int fired = 0;
     for (int i = 0; i < 1000; ++i)
-        fired += fi.should_fire(SiteId::kGpDelay);
+        fired += fi.arrive(SiteId::kGpDelay);
     EXPECT_EQ(fired, 1);
 }
 
 TEST(FaultInjector, ProbabilityRoughlyMatchesRate)
 {
-    FaultInjector fi;
+    Injector fi;
     fi.reset(11);
-    SitePolicy p;
+    Policy p;
     p.probability = 0.1;
     fi.arm(SiteId::kBuddyAlloc, p);
     int fired = 0;
     for (int i = 0; i < 10000; ++i)
-        fired += fi.should_fire(SiteId::kBuddyAlloc);
+        fired += fi.arrive(SiteId::kBuddyAlloc);
     EXPECT_GT(fired, 700);
     EXPECT_LT(fired, 1300);
 }
 
 TEST(FaultInjector, SameSeedSameDecisions)
 {
-    SitePolicy p;
+    Policy p;
     p.probability = 0.3;
     std::vector<bool> a, b;
     for (int run = 0; run < 2; ++run) {
-        FaultInjector fi;
+        Injector fi;
         fi.reset(42);
         fi.arm(SiteId::kSlowPath, p);
         auto& out = run == 0 ? a : b;
         for (int i = 0; i < 5000; ++i)
-            out.push_back(fi.should_fire(SiteId::kSlowPath));
+            out.push_back(fi.arrive(SiteId::kSlowPath));
     }
     EXPECT_EQ(a, b);
 }
 
 TEST(FaultInjector, DifferentSeedsDiffer)
 {
-    SitePolicy p;
+    Policy p;
     p.probability = 0.5;
     std::vector<bool> a, b;
     for (int run = 0; run < 2; ++run) {
-        FaultInjector fi;
+        Injector fi;
         fi.reset(run == 0 ? 1 : 2);
         fi.arm(SiteId::kSlowPath, p);
         auto& out = run == 0 ? a : b;
         for (int i = 0; i < 1000; ++i)
-            out.push_back(fi.should_fire(SiteId::kSlowPath));
+            out.push_back(fi.arrive(SiteId::kSlowPath));
     }
     EXPECT_NE(a, b);
 }
 
 TEST(FaultInjector, LiveCountersMatchOfflineReplay)
 {
-    FaultInjector fi;
+    Injector fi;
     fi.reset(1234);
-    SitePolicy p;
+    Policy p;
     p.probability = 0.2;
     fi.arm(SiteId::kLatentStarve, p);
     for (int i = 0; i < 3000; ++i)
-        fi.should_fire(SiteId::kLatentStarve);
+        fi.arrive(SiteId::kLatentStarve);
 
     auto r = fi.report(SiteId::kLatentStarve);
     EXPECT_EQ(r.evaluations, 3000u);
-    EXPECT_EQ(r.triggers,
-              FaultInjector::expected_triggers(1234, SiteId::kLatentStarve,
+    EXPECT_EQ(r.fires,
+              Injector::expected_fires(1234, SiteId::kLatentStarve,
                                                p, r.evaluations));
     EXPECT_EQ(r.fingerprint,
-              FaultInjector::expected_fingerprint(
+              Injector::expected_fingerprint(
                   1234, SiteId::kLatentStarve, p, r.evaluations));
 }
 
 TEST(FaultInjector, ResetDisarmsAndZeroes)
 {
-    FaultInjector fi;
+    Injector fi;
     fi.reset(5);
-    SitePolicy p;
+    Policy p;
     p.every_nth = 1;
     fi.arm(SiteId::kBuddyAlloc, p);
-    EXPECT_TRUE(fi.should_fire(SiteId::kBuddyAlloc));
+    EXPECT_TRUE(fi.arrive(SiteId::kBuddyAlloc));
     fi.reset(5);
     EXPECT_FALSE(fi.any_armed());
-    EXPECT_FALSE(fi.should_fire(SiteId::kBuddyAlloc));
+    EXPECT_FALSE(fi.arrive(SiteId::kBuddyAlloc));
     EXPECT_EQ(fi.report(SiteId::kBuddyAlloc).evaluations, 0u);
 }
 
 TEST(FaultInjector, DelayPayloadIsExposed)
 {
-    FaultInjector fi;
+    Injector fi;
     fi.reset(5);
-    SitePolicy p;
+    Policy p;
     p.every_nth = 1;
     p.delay_ns = 12345;
     fi.arm(SiteId::kGpDelay, p);
-    EXPECT_EQ(fi.delay_ns(SiteId::kGpDelay), 12345u);
+    EXPECT_EQ(fi.report(SiteId::kGpDelay).policy.delay_ns, 12345u);
+    EXPECT_EQ(Injector::decide(5, SiteId::kGpDelay, p, 0).delay_ns,
+              12345u);
     fi.disarm(SiteId::kGpDelay);
-    EXPECT_EQ(fi.delay_ns(SiteId::kGpDelay), 0u);
+    EXPECT_FALSE(fi.report(SiteId::kGpDelay).armed);
 }
 
 // ---------------------------------------------------------------------
@@ -186,17 +193,17 @@ struct GlobalFaultGuard
 {
     GlobalFaultGuard(std::uint64_t seed)
     {
-        FaultInjector::instance().reset(seed);
+        Injector::instance().reset(seed);
     }
-    ~GlobalFaultGuard() { FaultInjector::instance().reset(0); }
+    ~GlobalFaultGuard() { Injector::instance().reset(0); }
 };
 
 TEST(FaultWiring, InjectedArenaFailureDegradesBuddy)
 {
     GlobalFaultGuard guard(3);
-    SitePolicy p;
+    Policy p;
     p.one_shot = true;
-    FaultInjector::instance().arm(SiteId::kArenaMap, p);
+    Injector::instance().arm(SiteId::kArenaMap, p);
 
     BuddyAllocator degraded(1 << 20);
     EXPECT_FALSE(degraded.valid());
@@ -214,9 +221,9 @@ TEST(FaultWiring, InjectedArenaFailureDegradesBuddy)
 TEST(FaultWiring, InjectedBuddyOomPropagatesAsNull)
 {
     GlobalFaultGuard guard(4);
-    SitePolicy p;
+    Policy p;
     p.every_nth = 1;  // every page allocation fails
-    FaultInjector::instance().arm(SiteId::kBuddyAlloc, p);
+    Injector::instance().arm(SiteId::kBuddyAlloc, p);
 
     ManualRcuDomain domain;
     PrudenceConfig cfg;
@@ -239,16 +246,54 @@ TEST(FaultWiring, InjectedRefillFailureRecoversWhenDisarmed)
     cfg.maintenance_interval = std::chrono::microseconds{0};
     PrudenceAllocator alloc(domain, cfg);
 
-    SitePolicy p;
+    Policy p;
     p.every_nth = 1;
-    FaultInjector::instance().arm(SiteId::kRefillFail, p);
+    Injector::instance().arm(SiteId::kRefillFail, p);
     EXPECT_EQ(alloc.kmalloc(128), nullptr);
 
-    FaultInjector::instance().disarm(SiteId::kRefillFail);
+    Injector::instance().disarm(SiteId::kRefillFail);
     void* obj = alloc.kmalloc(128);
     ASSERT_NE(obj, nullptr);
     alloc.kfree(obj);
     EXPECT_TRUE(alloc.validate().empty());
+}
+
+TEST(FaultWiring, OneShotDrainerStallHoldsBackProcessing)
+{
+    // One evaluation per drainer tick: the arrival that fails the tick
+    // also sleeps the stall, so a one-shot stall really holds back
+    // callback processing for its delay.
+    GlobalFaultGuard guard(8);
+    constexpr auto kStall = std::chrono::milliseconds(200);
+    Policy p;
+    p.one_shot = true;
+    p.delay_ns = std::chrono::nanoseconds(kStall).count();
+    Injector::instance().arm(SiteId::kDrainerStall, p);
+
+    ManualRcuDomain domain;
+    CallbackEngineConfig cfg;
+    cfg.cpus = 1;
+    cfg.tick = std::chrono::microseconds(500);
+    std::atomic<int> fired{0};
+    const auto start = std::chrono::steady_clock::now();
+    {
+        CallbackEngine engine(domain, cfg);
+        engine.call(
+            [](void* ctx, void*) {
+                static_cast<std::atomic<int>*>(ctx)->fetch_add(1);
+            },
+            &fired, nullptr);
+        domain.advance();
+        while (fired.load() == 0 &&
+               std::chrono::steady_clock::now() - start <
+                   std::chrono::seconds(5))
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    const auto elapsed = std::chrono::steady_clock::now() - start;
+    EXPECT_EQ(fired.load(), 1);
+    EXPECT_GE(elapsed, kStall) << "the drainer stall never slept";
+    EXPECT_EQ(Injector::instance().report(SiteId::kDrainerStall).fires,
+              1u);
 }
 
 // ---------------------------------------------------------------------

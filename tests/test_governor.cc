@@ -25,8 +25,8 @@
 #include <vector>
 
 #include "core/prudence_allocator.h"
-#include "fault/fault_injector.h"
 #include "governor/governor.h"
+#include "perturb/perturb.h"
 #include "rcu/manual_domain.h"
 #include "slab/latent_ring.h"
 #include "telemetry/monitor.h"
@@ -351,11 +351,11 @@ TEST(GovernorActuation, ShrinkLatentHoldsAdmissionWhileActive)
 
 TEST(GovernorActuation, FaultSiteRefusesAndRecoveryReapplies)
 {
-    auto& injector = fault::FaultInjector::instance();
+    auto& injector = perturb::Injector::instance();
     injector.reset(0x60Fu);
-    fault::SitePolicy policy;
+    perturb::Policy policy;
     policy.probability = 1.0;
-    injector.arm(fault::SiteId::kGovernorAction, policy);
+    injector.arm(perturb::SiteId::kGovernorAction, policy);
 
     Harness h({above_signal(100, 50)});
     h.step(120, 0);
@@ -363,7 +363,7 @@ TEST(GovernorActuation, FaultSiteRefusesAndRecoveryReapplies)
         << "armed fault site must refuse the dispatch";
     EXPECT_GE(h.gov->stats().refusals, 1u);
 
-    injector.disarm(fault::SiteId::kGovernorAction);
+    injector.disarm(perturb::SiteId::kGovernorAction);
     h.step(120, 1 * kMs);  // stuck actuation retried once unstuck
     ASSERT_EQ(h.acts.paces.size(), 1u);
     EXPECT_EQ(h.acts.paces[0].level, 2u);

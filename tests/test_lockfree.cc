@@ -20,9 +20,9 @@
 
 #include "core/prudence_allocator.h"
 #include "rcu/manual_domain.h"
+#include "perturb/perturb.h"
+#include "perturb/ref_model.h"
 #include "rcu/rcu_domain.h"
-#include "sim/ref_model.h"
-#include "sim/sim.h"
 #include "slab/magazine_depot.h"
 #include "sync/lockfree_ring.h"
 #include "sync/lockfree_stack.h"
@@ -473,11 +473,11 @@ TEST(Depot, RipeBlockPathsNeverReuseOpenGracePeriodBlock)
     // The model checker independently flags any early
     // reuse as reuse_before_grace_period.
     ManualRcuDomain domain;
-    sim::ModelChecker model;
+    perturb::ModelChecker model;
     model.set_completed_provider(
             [&domain] { return domain.completed_epoch(); });
-    sim::ModelChecker::install(&model);
-    sim::Scheduler& sched = sim::Scheduler::instance();
+    perturb::ModelChecker::install(&model);
+    perturb::Injector& sched = perturb::Injector::instance();
     sched.reset(1);
     sched.start(/*site_mask=*/0, /*base_delay_ns=*/0);
     {
@@ -575,7 +575,7 @@ TEST(Depot, RipeBlockPathsNeverReuseOpenGracePeriodBlock)
         EXPECT_EQ(s.deferred_outstanding, 0);
     }
     sched.stop();
-    sim::ModelChecker::install(nullptr);
+    perturb::ModelChecker::install(nullptr);
     EXPECT_TRUE(model.violations().empty())
             << "model checker flagged a ripe-block path";
 }
@@ -645,21 +645,21 @@ TEST(Depot, UnprotectedPopVariantTripsTheModelChecker)
     // Self-test of the safety net: arm the deliberately broken depot
     // pop (grace-period check skipped) and the reference model must
     // flag reuse_before_grace_period; disarmed, the same workload is
-    // clean. schedfuzz --self-test runs the full seeded-schedule
+    // clean. prudtorture --self-test runs the full seeded-schedule
     // version of this.
     auto run = [](bool armed) {
         ManualRcuDomain domain;
-        sim::ModelChecker model;
+        perturb::ModelChecker model;
         model.set_completed_provider(
                 [&domain] { return domain.completed_epoch(); });
-        sim::ModelChecker::install(&model);
-        // Model hooks and bug detours run only inside a sim session;
+        perturb::ModelChecker::install(&model);
+        // Model hooks and bug detours run only inside a session;
         // an empty site mask keeps the schedule itself unperturbed.
-        sim::Scheduler& sched = sim::Scheduler::instance();
+        perturb::Injector& sched = perturb::Injector::instance();
         sched.reset(1);
         sched.start(/*site_mask=*/0, /*base_delay_ns=*/0);
-        sim::set_bug(armed ? sim::BugId::kUnprotectedDepotPop
-                           : sim::BugId::kNone);
+        perturb::set_bug(armed ? perturb::BugId::kUnprotectedDepotPop
+                               : perturb::BugId::kNone);
 
         {
             PrudenceAllocator alloc(domain, lockfree_config(true));
@@ -683,9 +683,9 @@ TEST(Depot, UnprotectedPopVariantTripsTheModelChecker)
             alloc.quiesce();
         }
 
-        sim::set_bug(sim::BugId::kNone);
+        perturb::set_bug(perturb::BugId::kNone);
         sched.stop();
-        sim::ModelChecker::install(nullptr);
+        perturb::ModelChecker::install(nullptr);
         return model.violations();
     };
 

@@ -15,9 +15,9 @@
 #include <vector>
 
 #include "core/prudence_allocator.h"
-#include "fault/fault_injector.h"
 #include "page/buddy_allocator.h"
 #include "page/page_types.h"
+#include "perturb/perturb.h"
 #include "rcu/rcu_domain.h"
 #include "stats/counters.h"
 
@@ -227,11 +227,11 @@ TEST(Pcp, MixedOrderChurnKeepsIntegrity)
 
 TEST(Pcp, RefillFaultFallsBackToGlobalPath)
 {
-    auto& fi = fault::FaultInjector::instance();
+    auto& fi = perturb::Injector::instance();
     fi.reset(/*seed=*/1);
-    fault::SitePolicy always;
+    perturb::Policy always;
     always.every_nth = 1;
-    fi.arm(fault::SiteId::kPcpRefill, always);
+    fi.arm(perturb::SiteId::kPcpRefill, always);
 
     BuddyAllocator buddy(one_cpu(/*batch=*/4, /*high=*/8));
     // Every refill is refused, so every alloc takes the single-block

@@ -1,13 +1,14 @@
 /**
  * @file
- * Unit tests for the deterministic schedule-fuzzing layer
- * (src/sim/): the seed-pure decision function, the live scheduler's
- * agreement with its own offline replay, PCT priority drawing, and
- * the sequential reference model's invariant checks.
+ * Unit tests for the schedule policy of the perturbation layer
+ * (src/perturb/): the site registry, the seed-pure decision function
+ * and its pinned replays, the live injector's agreement with its own
+ * offline replay, site-mask shrinking, PCT priority drawing, and the
+ * sequential reference model's invariant checks.
  *
- * Everything here runs single-threaded against isolated Scheduler /
+ * Everything here runs single-threaded against isolated Injector /
  * ModelChecker instances — the cross-thread behaviour is exercised by
- * tools/schedfuzz (including --self-test) and the CI smoke script.
+ * `prudtorture --self-test` and scripts/check_torture.sh.
  */
 #include <gtest/gtest.h>
 
@@ -16,69 +17,151 @@
 #include <type_traits>
 #include <vector>
 
-#include "sim/ref_model.h"
-#include "sim/sim.h"
+#include "perturb/perturb.h"
+#include "perturb/ref_model.h"
 
 namespace {
 
-using prudence::sim::Action;
-using prudence::sim::BugId;
-using prudence::sim::Decision;
-using prudence::sim::ModelChecker;
-using prudence::sim::Scheduler;
-using prudence::sim::YieldId;
+using prudence::perturb::Action;
+using prudence::perturb::BugId;
+using prudence::perturb::Decision;
+using prudence::perturb::Injector;
+using prudence::perturb::ModelChecker;
+using prudence::perturb::SiteId;
+namespace perturb = prudence::perturb;
 
-std::vector<YieldId>
+/// The schedule policy with a unit base delay, so a delay decision's
+/// payload is its 1x..4x multiplier.
+constexpr prudence::perturb::Policy kSchedule =
+    prudence::perturb::schedule_policy(1);
+
+std::vector<SiteId>
 all_sites()
 {
-    std::vector<YieldId> out;
+    std::vector<SiteId> out;
     for (std::size_t i = 1;
-         i < static_cast<std::size_t>(YieldId::kMaxYield); ++i)
-        out.push_back(static_cast<YieldId>(i));
+         i < static_cast<std::size_t>(SiteId::kMaxSite); ++i)
+        out.push_back(static_cast<SiteId>(i));
     return out;
 }
 
 TEST(SimNames, YieldNamesRoundTripAndAreUnique)
 {
     std::set<std::string> seen;
-    for (YieldId id : all_sites()) {
-        const char* name = prudence::sim::yield_name(id);
+    for (SiteId id : all_sites()) {
+        const char* name = prudence::perturb::site_name(id);
         ASSERT_STRNE(name, "unknown");
         ASSERT_STRNE(name, "none");
         EXPECT_TRUE(seen.insert(name).second)
-            << "duplicate yield name: " << name;
-        EXPECT_EQ(prudence::sim::yield_from_name(name), id);
+            << "duplicate site name: " << name;
+        EXPECT_EQ(prudence::perturb::site_from_name(name), id);
     }
-    EXPECT_EQ(prudence::sim::yield_from_name("no_such_site"),
-              YieldId::kNone);
+    EXPECT_EQ(prudence::perturb::site_from_name("no_such_site"),
+              SiteId::kNone);
 }
 
 TEST(SimNames, SiteMaskCoversExactlyTheRealSites)
 {
     std::uint32_t mask = 0;
-    for (YieldId id : all_sites())
-        mask |= prudence::sim::yield_bit(id);
-    EXPECT_EQ(mask, prudence::sim::all_yields());
-    EXPECT_EQ(prudence::sim::all_yields() & 1u, 0u)
+    for (SiteId id : all_sites())
+        mask |= prudence::perturb::site_bit(id);
+    EXPECT_EQ(mask, prudence::perturb::all_sites());
+    EXPECT_EQ(prudence::perturb::all_sites() & 1u, 0u)
         << "kNone's bit must never be part of the full mask";
 }
 
 TEST(SimNames, BugNamesRoundTrip)
 {
-    EXPECT_EQ(prudence::sim::bug_from_name(
-                  prudence::sim::bug_name(BugId::kStaleSpillTag)),
+    EXPECT_EQ(prudence::perturb::bug_from_name(
+                  prudence::perturb::bug_name(BugId::kStaleSpillTag)),
               BugId::kStaleSpillTag);
-    EXPECT_EQ(prudence::sim::bug_from_name("no-such-bug"), BugId::kNone);
+    EXPECT_EQ(prudence::perturb::bug_from_name("no-such-bug"),
+              BugId::kNone);
+}
+
+TEST(SimNames, ShrinkMaskFindsTheFailingPair)
+{
+    // A synthetic failure that needs a fault site and a yield site
+    // armed together: delta debugging must drop everything else.
+    const std::uint32_t pair = perturb::site_bit(SiteId::kBuddyAlloc) |
+                               perturb::site_bit(SiteId::kMagSpillTag);
+    int runs = 0;
+    auto fails = [&](std::uint32_t mask) {
+        ++runs;
+        return (mask & pair) == pair;
+    };
+    EXPECT_EQ(perturb::shrink_mask(perturb::all_sites(), fails), pair);
+    EXPECT_EQ(runs, static_cast<int>(SiteId::kMaxSite) - 1)
+        << "one trial per site";
+    EXPECT_EQ(perturb::shrink_mask(pair, fails), pair);
+    // A single failing site never shrinks to the empty mask.
+    const std::uint32_t one = perturb::site_bit(SiteId::kGpPublish);
+    EXPECT_EQ(perturb::shrink_mask(one, [](std::uint32_t) { return true; }),
+              one);
+}
+
+TEST(SimDecide, ReplaysArePinnedAcrossTheRegistryMerge)
+{
+    // Folds of decision sequences recorded before the fault and
+    // schedule registries merged (horizon 100,000): the schedule
+    // policy over every race window, and a 2% fault policy over every
+    // site that was a fault site. A change here invalidates every
+    // recorded replay line and decision audit.
+    struct Pin
+    {
+        std::uint64_t seed;
+        std::uint64_t schedule_fp;
+        std::uint64_t schedule_fires;
+        std::uint64_t fault_fp;
+        std::uint64_t fault_fires;
+    };
+    const Pin pins[] = {
+        {1, 0x28f451ae1f468a47ULL, 379958, 0x5e0f4d34a15ec333ULL, 21831},
+        {42, 0x5a0d6d58acc97ffbULL, 381169, 0x3677332e4eec5568ULL, 22216},
+        {0xDEADBEEF, 0x59f1508a6d697b5dULL, 379957, 0x33106d4c1b5ee1a9ULL,
+         22284},
+    };
+    const SiteId fault_sites[] = {
+        SiteId::kArenaMap,     SiteId::kBuddyAlloc,   SiteId::kPcpRefill,
+        SiteId::kSlabGrow,     SiteId::kGpDelay,      SiteId::kDrainerStall,
+        SiteId::kExpediteDrop, SiteId::kRefillFail,   SiteId::kSlowPath,
+        SiteId::kLatentStarve, SiteId::kGovernorAction,
+    };
+    prudence::perturb::Policy fault;
+    fault.probability = 0.02;
+    constexpr std::uint64_t kHorizon = 100000;
+    for (const Pin& pin : pins) {
+        std::uint64_t fp = 0, fires = 0;
+        for (SiteId id : all_sites()) {
+            if (prudence::perturb::schedule_sites() &
+                prudence::perturb::site_bit(id)) {
+                fp ^= Injector::expected_fingerprint(pin.seed, id,
+                                                     kSchedule, kHorizon);
+                fires += Injector::expected_fires(pin.seed, id, kSchedule,
+                                                  kHorizon);
+            }
+        }
+        EXPECT_EQ(fp, pin.schedule_fp) << "seed " << pin.seed;
+        EXPECT_EQ(fires, pin.schedule_fires) << "seed " << pin.seed;
+        fp = fires = 0;
+        for (SiteId id : fault_sites) {
+            fp ^= Injector::expected_fingerprint(pin.seed, id, fault,
+                                                 kHorizon);
+            fires += Injector::expected_fires(pin.seed, id, fault, kHorizon);
+        }
+        EXPECT_EQ(fp, pin.fault_fp) << "seed " << pin.seed;
+        EXPECT_EQ(fires, pin.fault_fires) << "seed " << pin.seed;
+    }
 }
 
 TEST(SimDecide, IsAPureFunctionOfSeedSiteIndex)
 {
     for (std::uint64_t seed : {1ULL, 42ULL, 0xDEADBEEFULL}) {
-        for (YieldId site :
-             {YieldId::kMagSpillTag, YieldId::kGpPublish}) {
+        for (SiteId site :
+             {SiteId::kMagSpillTag, SiteId::kGpPublish}) {
             for (std::uint64_t k = 0; k < 200; ++k) {
-                Decision a = Scheduler::decide(seed, site, k);
-                Decision b = Scheduler::decide(seed, site, k);
+                Decision a = Injector::decide(seed, site, kSchedule, k);
+                Decision b = Injector::decide(seed, site, kSchedule, k);
                 EXPECT_EQ(a.action, b.action);
                 EXPECT_EQ(a.delay_ns, b.delay_ns);
             }
@@ -94,7 +177,8 @@ TEST(SimDecide, ProducesBothPerturbationFlavors)
     bool saw_none = false, saw_yield = false, saw_delay = false;
     for (std::uint64_t k = 0; k < 500; ++k) {
         Decision d =
-            Scheduler::decide(7, YieldId::kSpinLockAcquire, k);
+            Injector::decide(7, SiteId::kSpinLockAcquire, kSchedule,
+                             k);
         switch (d.action) {
         case Action::kNone:
             saw_none = true;
@@ -107,6 +191,9 @@ TEST(SimDecide, ProducesBothPerturbationFlavors)
             saw_delay = true;
             EXPECT_GE(d.delay_ns, 1u);
             EXPECT_LE(d.delay_ns, 4u);
+            break;
+        case Action::kFail:
+            ADD_FAILURE() << "the schedule policy never fails a site";
             break;
         }
     }
@@ -121,8 +208,8 @@ TEST(SimDecide, DifferentSeedsDiverge)
     // would explore the same schedule twice).
     int diffs = 0;
     for (std::uint64_t k = 0; k < 256; ++k) {
-        if (Scheduler::decide(1, YieldId::kMagFlush, k).action !=
-            Scheduler::decide(2, YieldId::kMagFlush, k).action)
+        if (Injector::decide(1, SiteId::kMagFlush, kSchedule, k).action !=
+            Injector::decide(2, SiteId::kMagFlush, kSchedule, k).action)
             ++diffs;
     }
     EXPECT_GT(diffs, 0);
@@ -130,31 +217,32 @@ TEST(SimDecide, DifferentSeedsDiverge)
 
 TEST(SimScheduler, LiveRunMatchesOfflineReplay)
 {
-    Scheduler s;
+    Injector s;
     s.reset(/*seed=*/99);
-    s.start(prudence::sim::all_yields(), /*base_delay_ns=*/0);
+    s.start(prudence::perturb::all_sites(), /*base_delay_ns=*/0);
 
     constexpr std::uint64_t kN = 300;
     for (std::uint64_t i = 0; i < kN; ++i) {
-        s.yield_point(YieldId::kMagSpillTag);
+        s.arrive(SiteId::kMagSpillTag);
         if (i % 3 == 0)
-            s.yield_point(YieldId::kPcpDrain);
+            s.arrive(SiteId::kPcpDrain);
     }
     s.stop();
 
-    auto spill = s.report(YieldId::kMagSpillTag);
+    auto spill = s.report(SiteId::kMagSpillTag);
     EXPECT_EQ(spill.evaluations, kN);
-    EXPECT_EQ(spill.fingerprint, Scheduler::expected_fingerprint(
-                                     99, YieldId::kMagSpillTag, kN));
-    EXPECT_EQ(spill.perturbations,
-              Scheduler::expected_perturbations(
-                  99, YieldId::kMagSpillTag, kN));
+    const auto policy = prudence::perturb::schedule_policy(0);
+    EXPECT_EQ(spill.fingerprint,
+              Injector::expected_fingerprint(99, SiteId::kMagSpillTag,
+                                             policy, kN));
+    EXPECT_EQ(spill.fires, Injector::expected_fires(
+                               99, SiteId::kMagSpillTag, policy, kN));
 
-    auto drain = s.report(YieldId::kPcpDrain);
+    auto drain = s.report(SiteId::kPcpDrain);
     EXPECT_EQ(drain.evaluations, kN / 3);
     EXPECT_EQ(drain.fingerprint,
-              Scheduler::expected_fingerprint(99, YieldId::kPcpDrain,
-                                              drain.evaluations));
+              Injector::expected_fingerprint(99, SiteId::kPcpDrain,
+                                             policy, drain.evaluations));
 
     // report_all lists exactly the sites that were evaluated.
     auto all = s.report_all();
@@ -163,46 +251,46 @@ TEST(SimScheduler, LiveRunMatchesOfflineReplay)
 
 TEST(SimScheduler, SiteMaskGatesEvaluation)
 {
-    Scheduler s;
+    Injector s;
     s.reset(5);
-    s.start(prudence::sim::yield_bit(YieldId::kGpPhase),
+    s.start(prudence::perturb::site_bit(SiteId::kGpPhase),
             /*base_delay_ns=*/0);
-    s.yield_point(YieldId::kGpPhase);
-    s.yield_point(YieldId::kGpPublish);  // masked out
+    s.arrive(SiteId::kGpPhase);
+    s.arrive(SiteId::kGpPublish);  // masked out
     s.stop();
-    EXPECT_EQ(s.report(YieldId::kGpPhase).evaluations, 1u);
-    EXPECT_EQ(s.report(YieldId::kGpPublish).evaluations, 0u);
+    EXPECT_EQ(s.report(SiteId::kGpPhase).evaluations, 1u);
+    EXPECT_EQ(s.report(SiteId::kGpPublish).evaluations, 0u);
 }
 
 TEST(SimScheduler, InactiveSchedulerCountsNothing)
 {
-    Scheduler s;
+    Injector s;
     s.reset(5);
-    s.yield_point(YieldId::kMagFlush);  // before start()
-    EXPECT_EQ(s.report(YieldId::kMagFlush).evaluations, 0u);
+    s.arrive(SiteId::kMagFlush);  // before start()
+    EXPECT_EQ(s.report(SiteId::kMagFlush).evaluations, 0u);
 
     s.start();
-    s.yield_point(YieldId::kMagFlush);
+    s.arrive(SiteId::kMagFlush);
     s.stop();
-    s.yield_point(YieldId::kMagFlush);  // after stop()
-    EXPECT_EQ(s.report(YieldId::kMagFlush).evaluations, 1u);
+    s.arrive(SiteId::kMagFlush);  // after stop()
+    EXPECT_EQ(s.report(SiteId::kMagFlush).evaluations, 1u);
 
     // reset() wipes the counters for the next session.
     s.reset(6);
-    EXPECT_EQ(s.report(YieldId::kMagFlush).evaluations, 0u);
+    EXPECT_EQ(s.report(SiteId::kMagFlush).evaluations, 0u);
 }
 
-static_assert(std::is_trivially_destructible_v<Scheduler>,
-              "the process-wide scheduler needs no exit-time teardown");
+static_assert(std::is_trivially_destructible_v<Injector>,
+              "the process-wide injector needs no exit-time teardown");
 
 TEST(SimScheduler, LocalSessionLeavesProcessGateIdle)
 {
-    Scheduler s;
+    Injector s;
     s.reset(3);
     s.start();
     EXPECT_TRUE(s.active());
-    EXPECT_FALSE(prudence::sim::session_active());
-    EXPECT_FALSE(Scheduler::instance().active());
+    EXPECT_FALSE(prudence::perturb::session_active());
+    EXPECT_FALSE(Injector::instance().active());
     s.stop();
 }
 
@@ -211,36 +299,36 @@ TEST(SimScheduler, PriorityIsBoundedAndEpochSensitive)
     std::set<unsigned> drawn;
     for (std::uint32_t id = 0; id < 64; ++id) {
         for (std::uint64_t epoch = 0;
-             epoch <= Scheduler::kInversionPoints; ++epoch) {
-            unsigned p = Scheduler::priority(42, id, epoch);
-            EXPECT_LE(p, Scheduler::kMaxPriority);
-            EXPECT_EQ(p, Scheduler::priority(42, id, epoch))
+             epoch <= Injector::kInversionPoints; ++epoch) {
+            unsigned p = Injector::priority(42, id, epoch);
+            EXPECT_LE(p, Injector::kMaxPriority);
+            EXPECT_EQ(p, Injector::priority(42, id, epoch))
                 << "priority must be pure";
             drawn.insert(p);
         }
     }
     // Over 64 threads x 4 epochs every priority level should appear.
-    EXPECT_EQ(drawn.size(), Scheduler::kMaxPriority + 1);
+    EXPECT_EQ(drawn.size(), Injector::kMaxPriority + 1);
 
     // An inversion epoch re-draw must actually change some priorities,
     // or the PCT change points are inert.
     int changed = 0;
     for (std::uint32_t id = 0; id < 64; ++id)
-        if (Scheduler::priority(42, id, 0) !=
-            Scheduler::priority(42, id, 1))
+        if (Injector::priority(42, id, 0) !=
+            Injector::priority(42, id, 1))
             ++changed;
     EXPECT_GT(changed, 0);
 }
 
 TEST(SimBug, ArmDisarm)
 {
-    EXPECT_FALSE(prudence::sim::bug_enabled(BugId::kStaleSpillTag));
-    prudence::sim::set_bug(BugId::kStaleSpillTag);
-    EXPECT_TRUE(prudence::sim::bug_enabled(BugId::kStaleSpillTag));
-    EXPECT_FALSE(prudence::sim::bug_enabled(BugId::kNone))
+    EXPECT_FALSE(prudence::perturb::bug_enabled(BugId::kStaleSpillTag));
+    prudence::perturb::set_bug(BugId::kStaleSpillTag);
+    EXPECT_TRUE(prudence::perturb::bug_enabled(BugId::kStaleSpillTag));
+    EXPECT_FALSE(prudence::perturb::bug_enabled(BugId::kNone))
         << "kNone is never 'enabled'";
-    prudence::sim::set_bug(BugId::kNone);
-    EXPECT_FALSE(prudence::sim::bug_enabled(BugId::kStaleSpillTag));
+    prudence::perturb::set_bug(BugId::kNone);
+    EXPECT_FALSE(prudence::perturb::bug_enabled(BugId::kStaleSpillTag));
 }
 
 // ---------------------------------------------------------------------
@@ -343,14 +431,14 @@ TEST(SimModel, InstallRoutesVeneersAndUninstallStopsThem)
     EXPECT_EQ(ModelChecker::installed(), &m);
 
     int obj = 0;
-    prudence::sim::model_on_defer(&obj, 10);
-    prudence::sim::model_on_spill(&obj, 9);
+    prudence::perturb::model_on_defer(&obj, 10);
+    prudence::perturb::model_on_spill(&obj, 9);
     EXPECT_TRUE(m.has_violations());
 
     ModelChecker::install(nullptr);
     EXPECT_EQ(ModelChecker::installed(), nullptr);
     int other = 0;
-    prudence::sim::model_on_defer(&other, 1);  // dropped, no crash
+    prudence::perturb::model_on_defer(&other, 1);  // dropped, no crash
     EXPECT_EQ(m.tracked(), 1u) << "only &obj, not the dropped &other";
 }
 

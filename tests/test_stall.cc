@@ -12,7 +12,7 @@
 #include <mutex>
 #include <thread>
 
-#include "fault/fault_injector.h"
+#include "perturb/perturb.h"
 #include "rcu/rcu_domain.h"
 #include "rcu/stall_detector.h"
 
@@ -139,12 +139,12 @@ TEST(StallDetector, DetectsInjectedGpDelay)
 {
     const auto threshold = 150ms;
 
-    auto& fi = fault::FaultInjector::instance();
+    auto& fi = perturb::Injector::instance();
     fi.reset(77);
-    fault::SitePolicy p;
+    perturb::Policy p;
     p.one_shot = true;
     p.delay_ns = 3ull * 150 * 1000000;  // 3x the threshold
-    fi.arm(fault::SiteId::kGpDelay, p);
+    fi.arm(perturb::SiteId::kGpDelay, p);
 
     RcuConfig cfg;
     cfg.background_gp_thread = true;

@@ -1,11 +1,11 @@
 /**
  * @file
- * prudtorture — rcutorture-style stress harness for the RCU–allocator
- * co-design.
+ * prudtorture — rcutorture-style stress harness and deterministic
+ * schedule fuzzer for the RCU–allocator co-design.
  *
  * Mixed reader / updater / OOM-stress threads hammer one allocator
- * (Prudence or the SLUB baseline) under deterministic fault injection
- * for a configurable duration, then quiesce and check invariants:
+ * (Prudence or the SLUB baseline) under deterministic perturbation
+ * (src/perturb/, DESIGN.md §8), then quiesce and check invariants:
  *
  *  - no use-after-reclaim: a deferred object carries a poison stamp
  *    (magic + defer epoch); if it comes back from the allocator while
@@ -15,12 +15,27 @@
  *  - after quiescing, allocator self-validation passes, the buddy
  *    allocator's integrity check passes, no objects are live and no
  *    deferrals are outstanding (baseline: callback backlog drained).
- *  - fault-decision determinism: every site's live trigger count and
- *    decision fingerprint must equal the offline replay for the same
- *    (seed, policy, evaluation count) — the same --fault-seed provably
- *    makes the same decisions, whatever the thread interleaving.
+ *  - decision determinism: every site's live fire count and decision
+ *    fingerprint must equal the offline replay for the same (seed,
+ *    policy, evaluation count) — the same seed provably makes the
+ *    same decisions, whatever the thread interleaving.
  *
- * Exit status is 0 only when every check passes.
+ * Two perturbation modes share those threads and checks:
+ *
+ *  - fault mode (the default): the fault sites fire at --fault-rate
+ *    for --duration seconds (or --ops updates per updater) under
+ *    --fault-seed.
+ *  - schedule mode (--seeds, --seed or --self-test): each seed is one
+ *    reproducible schedule-policy perturbation of the race windows,
+ *    with the sequential reference model (perturb::ModelChecker)
+ *    installed. --self-test proves the sweep still convicts the
+ *    deliberate bugs (stale-spill-tag; unprotected-depot-pop on the
+ *    lock-free leg), replays and shrinks the failing seed, and passes
+ *    a clean sweep with the bugs disarmed.
+ *
+ * A failing run prints a replay line; the armed-site mask of the
+ * failure (fault set or race windows) is shrunk to a minimal
+ * still-failing subset, and --report=FILE keeps both as JSON.
  *
  * `--scenario=<stock-name-or-file>` switches to scenario mode: the
  * server-style load engine (DESIGN.md §15) replays the scenario on
@@ -28,10 +43,15 @@
  * checked, plus an offline per-shard op-stream replay that must
  * reproduce the engine's request counts and fingerprints exactly.
  *
+ * Exit status is 0 only when every check passes.
+ *
  * Typical runs:
  *   prudtorture --duration=30 --fault-seed=42
  *   prudtorture --allocator=slub --duration=10
  *   prudtorture --expect-stall --stall-threshold-ms=200 --duration=3
+ *   prudtorture --seeds=200
+ *   prudtorture --seed=17 --sites=mag_defer_buffer,gp_publish
+ *   prudtorture --self-test
  *   prudtorture --scenario=burst
  *   prudtorture --scenario=my.scenario --unpaced --allocator=slub
  */
@@ -54,9 +74,10 @@
 
 #include "api/allocator.h"
 #include "core/prudence_allocator.h"
-#include "fault/fault_injector.h"
 #include "governor/governor.h"
 #include "page/buddy_allocator.h"
+#include "perturb/perturb.h"
+#include "perturb/ref_model.h"
 #include "rcu/rcu_domain.h"
 #include "rcu/stall_detector.h"
 #include "slub/slub_allocator.h"
@@ -69,9 +90,13 @@
 
 namespace {
 
-using prudence::fault::FaultInjector;
-using prudence::fault::SiteId;
-using prudence::fault::SitePolicy;
+namespace perturb = prudence::perturb;
+using perturb::Injector;
+using perturb::Policy;
+using perturb::SiteId;
+
+/// Marks a knob whose default depends on the mode.
+constexpr std::uint64_t kModeDefault = ~std::uint64_t{0};
 
 struct Options
 {
@@ -79,9 +104,10 @@ struct Options
     std::uint64_t fault_seed = 42;
     bool faults = true;
     double fault_rate = 0.02;
-    unsigned readers = 4;
-    unsigned updaters = 4;
-    unsigned oom_threads = 1;
+    /// Thread counts: fault mode 4 / 4 / 1, schedule mode 2 / 2 / 0.
+    std::uint64_t readers = kModeDefault;
+    std::uint64_t updaters = kModeDefault;
+    std::uint64_t oom_threads = kModeDefault;
     std::string allocator = "prudence";
     std::size_t arena_mb = 32;
     std::size_t magazine_capacity = 32;
@@ -92,9 +118,9 @@ struct Options
     /// -1 = build default, 0 = legacy spinlock leg, 1 = lock-free leg.
     int lockfree_pcpu = -1;
     bool expect_stall = false;
-    /// Stop after this many updates instead of after --duration
-    /// (0 = duration-bounded).
-    std::uint64_t ops = 0;
+    /// Each updater stops after this many updates instead of after
+    /// --duration (0 = duration-bounded; schedule mode default 300).
+    std::uint64_t ops = kModeDefault;
     /// Single-threaded, ops-bounded, no background threads: two runs
     /// with the same --fault-seed are bit-identical in every fault
     /// fingerprint and accounting counter.
@@ -108,7 +134,7 @@ struct Options
     std::uint64_t prudstat_interval_ms = 500;
     /// Run the adaptive reclamation governor (DESIGN.md §13) over the
     /// torture: a private monitor feeds the stock scheme list, and
-    /// kGovernorAction faults refuse a share of its dispatches — the
+    /// governor_action faults refuse a share of its dispatches — the
     /// control loop must keep accounting and the fault-decision audit
     /// clean.
     bool governor = false;
@@ -123,6 +149,25 @@ struct Options
     /// Scenario mode: override the spec's scheduled duration
     /// (0 = use the spec's).
     std::uint64_t scenario_duration_ms = 0;
+
+    /// Schedule mode: seeded schedule perturbation with the reference
+    /// model installed.
+    bool schedule = false;
+    std::uint64_t seeds = 20;     ///< sweep width
+    std::uint64_t seed_base = 1;  ///< first seed of the sweep
+    std::uint64_t seed = 0;       ///< != 0: replay this single seed
+    /// Sites to arm (0 = the mode's set: the fault sites, or the race
+    /// windows).
+    std::uint32_t sites = 0;
+    perturb::BugId bug = perturb::BugId::kNone;
+    std::uint64_t base_delay_ns = 50'000;
+    bool self_test = false;
+    /// Shrink a failing run's site mask.
+    bool shrink = true;
+    /// Failing-run JSON report ("" = don't).
+    std::string report;
+    /// Command-line flags a replay line repeats verbatim.
+    std::string replay_args;
 };
 
 void
@@ -137,9 +182,12 @@ usage(const char* argv0)
         "  --fault-rate=P           per-site fire probability "
         "(default 0.02)\n"
         "  --no-faults              run without arming any site\n"
-        "  --readers=N              reader threads (default 4)\n"
-        "  --updaters=N             updater threads (default 4)\n"
-        "  --oom-threads=N          OOM-stress threads (default 1)\n"
+        "  --readers=N              reader threads (default 4; "
+        "schedule mode 2)\n"
+        "  --updaters=N             updater threads (default 4; "
+        "schedule mode 2)\n"
+        "  --oom-threads=N          OOM-stress threads (default 1; "
+        "schedule mode 0)\n"
         "  --allocator=KIND         prudence | slub (default prudence)\n"
         "  --arena-mb=N             simulated physical memory "
         "(default 32)\n"
@@ -157,8 +205,10 @@ usage(const char* argv0)
         "(default 1000)\n"
         "  --expect-stall           inject one long GP stall and "
         "require detection\n"
-        "  --ops=N                  stop after N updates instead of "
-        "--duration\n"
+        "  --ops=N                  each updater stops after N updates "
+        "instead of\n"
+        "                           --duration (schedule mode "
+        "default 300)\n"
         "  --deterministic          1 updater, no readers/OOM/"
         "background threads;\n"
         "                           same --fault-seed => identical "
@@ -173,24 +223,44 @@ usage(const char* argv0)
         "(default 500)\n"
         "  --governor               run the adaptive reclamation "
         "governor over the\n"
-        "                           torture and arm kGovernorAction "
+        "                           torture and arm governor_action "
         "refusal faults\n"
-        "  --scenario=NAME|FILE     scenario mode: run the load engine "
-        "on a stock\n"
-        "                           scenario (burst|diurnal|churn) or "
-        "a DSL file,\n"
-        "                           then check invariants + replay "
-        "audit\n"
-        "  --unpaced                scenario mode: run the schedule "
-        "as fast as\n"
-        "                           possible (service-time latency "
-        "only)\n"
-        "  --scenario-threads=N     scenario mode: engine threads "
-        "(default: one\n"
-        "                           per shard)\n"
-        "  --scenario-duration-ms=N scenario mode: override the "
-        "spec's scheduled\n"
-        "                           duration\n",
+        "  --sites=a,b,...          arm only these sites (default: "
+        "every fault site,\n"
+        "                           or every race window in schedule "
+        "mode)\n"
+        "  --report=FILE            write a failing run's seed, sites, "
+        "shrunk sites\n"
+        "                           and replay line as JSON\n"
+        "  --no-shrink              do not shrink a failing run's "
+        "site mask\n"
+        "schedule mode (the schedule policy on the race windows, "
+        "reference model on):\n"
+        "  --seeds=N                sweep N seeds (default 20)\n"
+        "  --seed-base=K            first seed of the sweep "
+        "(default 1)\n"
+        "  --seed=K                 replay the single seed K\n"
+        "  --bug=NAME               arm a deliberate bug "
+        "(stale-spill-tag |\n"
+        "                           unprotected-depot-pop)\n"
+        "  --base-delay-ns=N        unscaled schedule delay "
+        "(default 50000)\n"
+        "  --self-test              prove the sweep convicts both "
+        "deliberate bugs\n"
+        "                           and passes clean\n"
+        "scenario mode:\n"
+        "  --scenario=NAME|FILE     run the load engine on a stock "
+        "scenario\n"
+        "                           (burst|diurnal|churn) or a DSL "
+        "file, then check\n"
+        "                           invariants + replay audit\n"
+        "  --unpaced                run the schedule as fast as "
+        "possible (service-\n"
+        "                           time latency only)\n"
+        "  --scenario-threads=N     engine threads (default: one per "
+        "shard)\n"
+        "  --scenario-duration-ms=N override the spec's scheduled "
+        "duration\n",
         argv0);
 }
 
@@ -210,20 +280,24 @@ parse_options(int argc, char** argv, Options& opt)
 {
     for (int i = 1; i < argc; ++i) {
         const char* v = nullptr;
+        // Flags that pick the seed, the sites or the outputs are
+        // rewritten by a replay line; everything else it repeats.
+        bool replayed = true;
         if (flag_value(argv[i], "--duration", &v))
             opt.duration_s = std::atof(v);
-        else if (flag_value(argv[i], "--fault-seed", &v))
+        else if (flag_value(argv[i], "--fault-seed", &v)) {
             opt.fault_seed = std::strtoull(v, nullptr, 0);
-        else if (flag_value(argv[i], "--fault-rate", &v))
+            replayed = false;
+        } else if (flag_value(argv[i], "--fault-rate", &v))
             opt.fault_rate = std::atof(v);
         else if (std::strcmp(argv[i], "--no-faults") == 0)
             opt.faults = false;
         else if (flag_value(argv[i], "--readers", &v))
-            opt.readers = static_cast<unsigned>(std::atoi(v));
+            opt.readers = std::strtoull(v, nullptr, 0);
         else if (flag_value(argv[i], "--updaters", &v))
-            opt.updaters = static_cast<unsigned>(std::atoi(v));
+            opt.updaters = std::strtoull(v, nullptr, 0);
         else if (flag_value(argv[i], "--oom-threads", &v))
-            opt.oom_threads = static_cast<unsigned>(std::atoi(v));
+            opt.oom_threads = std::strtoull(v, nullptr, 0);
         else if (flag_value(argv[i], "--allocator", &v))
             opt.allocator = v;
         else if (flag_value(argv[i], "--arena-mb", &v))
@@ -236,9 +310,10 @@ parse_options(int argc, char** argv, Options& opt)
                 static_cast<std::size_t>(std::atoll(v));
         else if (flag_value(argv[i], "--pcp-batch", &v))
             opt.pcp_batch = static_cast<std::size_t>(std::atoll(v));
-        else if (flag_value(argv[i], "--lockfree-pcpu", &v))
+        else if (flag_value(argv[i], "--lockfree-pcpu", &v)) {
             opt.lockfree_pcpu = std::atoi(v);
-        else if (flag_value(argv[i], "--stall-threshold-ms", &v))
+            replayed = false;
+        } else if (flag_value(argv[i], "--stall-threshold-ms", &v))
             opt.stall_threshold_ms = std::strtoull(v, nullptr, 0);
         else if (std::strcmp(argv[i], "--expect-stall") == 0)
             opt.expect_stall = true;
@@ -246,9 +321,10 @@ parse_options(int argc, char** argv, Options& opt)
             opt.ops = std::strtoull(v, nullptr, 0);
         else if (std::strcmp(argv[i], "--deterministic") == 0)
             opt.deterministic = true;
-        else if (flag_value(argv[i], "--report-json", &v))
+        else if (flag_value(argv[i], "--report-json", &v)) {
             opt.report_json = v;
-        else if (std::strcmp(argv[i], "--prudstat") == 0)
+            replayed = false;
+        } else if (std::strcmp(argv[i], "--prudstat") == 0)
             opt.prudstat = true;
         else if (flag_value(argv[i], "--prudstat-interval-ms", &v))
             opt.prudstat_interval_ms = std::strtoull(v, nullptr, 0);
@@ -263,9 +339,51 @@ parse_options(int argc, char** argv, Options& opt)
                 static_cast<unsigned>(std::atoi(v));
         else if (flag_value(argv[i], "--scenario-duration-ms", &v))
             opt.scenario_duration_ms = std::strtoull(v, nullptr, 0);
-        else {
+        else if (flag_value(argv[i], "--sites", &v)) {
+            if (!perturb::mask_from_names(v, opt.sites) ||
+                opt.sites == 0) {
+                std::fprintf(stderr, "prudtorture: bad --sites=%s\n", v);
+                return false;
+            }
+            replayed = false;
+        } else if (flag_value(argv[i], "--report", &v)) {
+            opt.report = v;
+            replayed = false;
+        } else if (std::strcmp(argv[i], "--no-shrink") == 0)
+            opt.shrink = false;
+        else if (flag_value(argv[i], "--seeds", &v)) {
+            opt.seeds = std::strtoull(v, nullptr, 0);
+            opt.schedule = true;
+            replayed = false;
+        } else if (flag_value(argv[i], "--seed-base", &v)) {
+            opt.seed_base = std::strtoull(v, nullptr, 0);
+            opt.schedule = true;
+            replayed = false;
+        } else if (flag_value(argv[i], "--seed", &v)) {
+            opt.seed = std::strtoull(v, nullptr, 0);
+            opt.schedule = true;
+            replayed = false;
+        } else if (flag_value(argv[i], "--bug", &v)) {
+            opt.bug = perturb::bug_from_name(v);
+            if (opt.bug == perturb::BugId::kNone &&
+                std::strcmp(v, "none") != 0) {
+                std::fprintf(stderr, "prudtorture: unknown bug '%s'\n", v);
+                return false;
+            }
+            replayed = false;
+        } else if (flag_value(argv[i], "--base-delay-ns", &v))
+            opt.base_delay_ns = std::strtoull(v, nullptr, 0);
+        else if (std::strcmp(argv[i], "--self-test") == 0) {
+            opt.self_test = true;
+            opt.schedule = true;
+            replayed = false;
+        } else {
             usage(argv[0]);
             return false;
+        }
+        if (replayed) {
+            opt.replay_args += ' ';
+            opt.replay_args += argv[i];
         }
     }
     if (opt.allocator != "prudence" && opt.allocator != "slub") {
@@ -273,10 +391,21 @@ parse_options(int argc, char** argv, Options& opt)
         return false;
     }
     if (!opt.scenario.empty() &&
-        (opt.deterministic || opt.expect_stall || opt.governor)) {
+        (opt.deterministic || opt.expect_stall || opt.governor ||
+         opt.schedule)) {
         std::fprintf(stderr,
                      "prudtorture: --scenario excludes --deterministic, "
-                     "--expect-stall and --governor\n");
+                     "--expect-stall, --governor and schedule mode\n");
+        return false;
+    }
+    if (opt.schedule &&
+        (opt.deterministic || opt.expect_stall || opt.governor ||
+         opt.allocator != "prudence")) {
+        std::fprintf(stderr,
+                     "prudtorture: schedule mode (--seeds, --seed, "
+                     "--self-test) runs the Prudence allocator and "
+                     "excludes --deterministic, --expect-stall and "
+                     "--governor\n");
         return false;
     }
     if (opt.deterministic) {
@@ -306,9 +435,21 @@ parse_options(int argc, char** argv, Options& opt)
         opt.updaters = 1;
         opt.readers = 0;
         opt.oom_threads = 0;
-        if (opt.ops == 0)
+        if (opt.ops == kModeDefault)
             opt.ops = 50000;
     }
+    auto pick = [&opt](std::uint64_t& knob, std::uint64_t fault_default,
+                       std::uint64_t schedule_default) {
+        if (knob == kModeDefault)
+            knob = opt.schedule ? schedule_default : fault_default;
+    };
+    pick(opt.readers, 4, 2);
+    pick(opt.updaters, 4, 2);
+    pick(opt.oom_threads, 1, 0);
+    pick(opt.ops, 0, 300);
+    if (opt.sites == 0)
+        opt.sites = opt.schedule ? perturb::schedule_sites()
+                                 : perturb::all_sites();
     return true;
 }
 
@@ -349,6 +490,7 @@ store_u64(std::uint64_t& field, std::uint64_t v, std::memory_order mo)
 struct Torture
 {
     Options opt;
+    std::uint64_t seed;
     prudence::RcuDomain& domain;
     prudence::Allocator& alloc;
     prudence::CacheId cache;
@@ -366,9 +508,9 @@ struct Torture
     std::atomic<std::uint64_t> epoch_violations{0};
     std::atomic<std::uint64_t> reader_violations{0};
 
-    Torture(const Options& o, prudence::RcuDomain& d,
+    Torture(const Options& o, std::uint64_t s, prudence::RcuDomain& d,
             prudence::Allocator& a, std::size_t nslots)
-        : opt(o), domain(d), alloc(a), slots(nslots)
+        : opt(o), seed(s), domain(d), alloc(a), slots(nslots)
     {
     }
 };
@@ -376,20 +518,20 @@ struct Torture
 void
 updater_main(Torture& t, unsigned id)
 {
-    std::mt19937_64 rng(t.opt.fault_seed * 1000003 + id);
+    // A stable logical id keeps the thread's PCT priority seed-pure.
+    Injector::bind_thread(id);
+    std::mt19937_64 rng(t.seed * 1000003 + id);
     std::uniform_int_distribution<std::size_t> pick(
         0, t.slots.size() - 1);
 
-    while (!t.stop.load(std::memory_order_relaxed)) {
-        if (t.opt.ops != 0 &&
-            t.updates.load(std::memory_order_relaxed) >= t.opt.ops)
-            break;
+    std::uint64_t done = 0;
+    while (!t.stop.load(std::memory_order_relaxed) &&
+           (t.opt.ops == 0 || done < t.opt.ops)) {
         // Deterministic mode has no background GP thread; the one
         // updater drives grace periods itself at a fixed cadence so
         // epoch completion sits at the same program-order points in
         // every run.
-        if (t.opt.deterministic &&
-            t.updates.load(std::memory_order_relaxed) % 256 == 255)
+        if (t.opt.deterministic && done % 256 == 255)
             t.domain.advance();
         auto* obj =
             static_cast<TortureObj*>(t.alloc.cache_alloc(t.cache));
@@ -434,13 +576,17 @@ updater_main(Torture& t, unsigned id)
             t.alloc.cache_free_deferred(t.cache, old);
         }
         t.updates.fetch_add(1, std::memory_order_relaxed);
+        ++done;
     }
+    Injector::unbind_thread();
 }
 
 void
 reader_main(Torture& t, unsigned id)
 {
-    std::mt19937_64 rng(t.opt.fault_seed * 7000003 + id);
+    Injector::bind_thread(static_cast<std::uint32_t>(t.opt.updaters) +
+                          id);
+    std::mt19937_64 rng(t.seed * 7000003 + id);
     std::uniform_int_distribution<std::size_t> pick(
         0, t.slots.size() - 1);
 
@@ -463,12 +609,13 @@ reader_main(Torture& t, unsigned id)
             t.reads.fetch_add(1, std::memory_order_relaxed);
         }
     }
+    Injector::unbind_thread();
 }
 
 void
 oom_main(Torture& t, unsigned id)
 {
-    std::mt19937_64 rng(t.opt.fault_seed * 9000017 + id);
+    std::mt19937_64 rng(t.seed * 9000017 + id);
     std::vector<void*> held;
     held.reserve(8192);
 
@@ -501,86 +648,96 @@ oom_main(Torture& t, unsigned id)
 // Fault arming and the determinism report.
 // ---------------------------------------------------------------------
 
+/// Arm the fault sites in @p sites under @p seed.
 void
-arm_faults(const Options& opt)
+arm_faults(const Options& opt, std::uint64_t seed, std::uint32_t sites)
 {
-    FaultInjector& fi = FaultInjector::instance();
-    fi.reset(opt.fault_seed);
+    Injector& inj = Injector::instance();
+    inj.reset(seed);
     if (!opt.faults)
         return;
+    auto arm = [&inj, sites](SiteId id, const Policy& policy) {
+        if (sites & perturb::site_bit(id))
+            inj.arm(id, policy);
+    };
 
-    SitePolicy prob;
+    Policy prob;
     prob.probability = opt.fault_rate;
-    fi.arm(SiteId::kBuddyAlloc, prob);
-    fi.arm(SiteId::kPcpRefill, prob);
-    fi.arm(SiteId::kSlabGrow, prob);
-    fi.arm(SiteId::kRefillFail, prob);
-    fi.arm(SiteId::kLatentStarve, prob);
+    arm(SiteId::kBuddyAlloc, prob);
+    arm(SiteId::kPcpRefill, prob);
+    arm(SiteId::kSlabGrow, prob);
+    arm(SiteId::kRefillFail, prob);
+    arm(SiteId::kLatentStarve, prob);
 
-    SitePolicy slow;
+    Policy slow;
     slow.probability = std::min(1.0, opt.fault_rate * 5.0);
-    fi.arm(SiteId::kSlowPath, slow);
+    arm(SiteId::kSlowPath, slow);
 
-    SitePolicy drain;
+    Policy drain;
     drain.every_nth = 5;
-    fi.arm(SiteId::kDrainerStall, drain);
+    arm(SiteId::kDrainerStall, drain);
 
-    SitePolicy drop;
+    Policy drop;
     drop.probability = 0.25;
-    fi.arm(SiteId::kExpediteDrop, drop);
+    arm(SiteId::kExpediteDrop, drop);
 
     if (opt.governor) {
         // Refuse a quarter of governor actuations: held-state
         // dispatches must retry until one lands, and the decision
         // audit below must still match the offline replay.
-        SitePolicy refuse;
+        Policy refuse;
         refuse.probability = 0.25;
-        fi.arm(SiteId::kGovernorAction, refuse);
+        arm(SiteId::kGovernorAction, refuse);
     }
 
     if (opt.expect_stall) {
         // One long stall, well past the detector threshold; the run
         // then requires stalls_detected() >= 1.
-        SitePolicy stall;
+        Policy stall;
         stall.one_shot = true;
         stall.delay_ns = opt.stall_threshold_ms * 3 * 1000000ULL;
-        fi.arm(SiteId::kGpDelay, stall);
+        arm(SiteId::kGpDelay, stall);
     } else {
-        SitePolicy gp;
+        Policy gp;
         gp.every_nth = 64;
         gp.delay_ns = 500000;  // 0.5 ms: stretches GPs, below threshold
-        fi.arm(SiteId::kGpDelay, gp);
+        arm(SiteId::kGpDelay, gp);
     }
 }
 
-/// Print the live per-site report and cross-check it against the
-/// offline replay. @return number of determinism mismatches.
+/// Cross-check every site's live activity against the offline replay
+/// and, when @p print, show both tables. @return number of
+/// determinism mismatches.
 int
-fault_report(const std::vector<prudence::fault::SiteReport>& reports,
-             std::uint64_t seed)
+fault_report(const std::vector<perturb::SiteReport>& reports,
+             std::uint64_t seed, bool print)
 {
     int mismatches = 0;
-    std::printf("\n--- fault sites (seed=%" PRIu64 ") ---\n", seed);
-    std::printf("%-14s %12s %10s %18s  %s\n", "site", "evaluations",
-                "triggers", "fingerprint", "replay");
+    if (print) {
+        std::printf("\n--- fault sites (seed=%" PRIu64 ") ---\n", seed);
+        std::printf("%-14s %12s %10s %18s  %s\n", "site", "evaluations",
+                    "triggers", "fingerprint", "replay");
+    }
     for (const auto& r : reports) {
-        std::uint64_t exp_trig = FaultInjector::expected_triggers(
-            seed, r.id, r.policy, r.evaluations);
-        std::uint64_t exp_fp = FaultInjector::expected_fingerprint(
-            seed, r.id, r.policy, r.evaluations);
-        bool ok = exp_trig == r.triggers && exp_fp == r.fingerprint;
+        bool ok = Injector::expected_fires(seed, r.id, r.policy,
+                                           r.evaluations) == r.fires &&
+                  Injector::expected_fingerprint(seed, r.id, r.policy,
+                                                 r.evaluations) ==
+                      r.fingerprint;
         if (!ok)
             ++mismatches;
-        std::printf("%-14s %12" PRIu64 " %10" PRIu64 " 0x%016" PRIx64
-                    "  %s\n",
-                    prudence::fault::site_name(r.id), r.evaluations,
-                    r.triggers, r.fingerprint,
-                    ok ? "match" : "MISMATCH");
+        if (print)
+            std::printf("%-14s %12" PRIu64 " %10" PRIu64 " 0x%016" PRIx64
+                        "  %s\n",
+                        perturb::site_name(r.id), r.evaluations, r.fires,
+                        r.fingerprint, ok ? "match" : "MISMATCH");
     }
+    if (!print)
+        return mismatches;
 
     // Fixed-horizon decision audit: a pure function of the seed and
-    // policies — byte-identical across runs with the same
-    // --fault-seed, whatever the scheduler did.
+    // policies — byte-identical across runs with the same seed,
+    // whatever the scheduler did.
     constexpr std::uint64_t kHorizon = 100000;
     std::printf("--- decision audit (horizon=%" PRIu64
                 ", pure replay) ---\n",
@@ -588,13 +745,36 @@ fault_report(const std::vector<prudence::fault::SiteReport>& reports,
     for (const auto& r : reports) {
         std::printf("%-14s triggers=%" PRIu64 " fingerprint=0x%016"
                     PRIx64 "\n",
-                    prudence::fault::site_name(r.id),
-                    FaultInjector::expected_triggers(seed, r.id,
-                                                     r.policy, kHorizon),
-                    FaultInjector::expected_fingerprint(
-                        seed, r.id, r.policy, kHorizon));
+                    perturb::site_name(r.id),
+                    Injector::expected_fires(seed, r.id, r.policy,
+                                             kHorizon),
+                    Injector::expected_fingerprint(seed, r.id, r.policy,
+                                                   kHorizon));
     }
     return mismatches;
+}
+
+/**
+ * Stop the process-wide injector and return the final activity of
+ * every site that was armed or evaluated. An arrival that passed the
+ * gate just before stop() may still be updating its site's counters,
+ * so the snapshot is re-read until it replays; a real divergence
+ * persists and is reported.
+ */
+std::vector<perturb::SiteReport>
+settled_reports(std::uint64_t seed)
+{
+    Injector& inj = Injector::instance();
+    std::vector<perturb::SiteReport> reports = inj.report_all();
+    inj.stop();
+    for (int attempt = 0; attempt < 10; ++attempt) {
+        for (auto& r : reports)
+            r = inj.report(r.id);
+        if (fault_report(reports, seed, false) == 0)
+            break;
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return reports;
 }
 
 /**
@@ -606,7 +786,7 @@ fault_report(const std::vector<prudence::fault::SiteReport>& reports,
  */
 bool
 write_report_json(const std::string& path, const Options& opt,
-                  const std::vector<prudence::fault::SiteReport>& reports,
+                  const std::vector<perturb::SiteReport>& reports,
                   const Torture& t, prudence::Allocator& alloc)
 {
     std::FILE* f = std::fopen(path.c_str(), "w");
@@ -631,8 +811,8 @@ write_report_json(const std::string& path, const Options& opt,
                      "    {\"site\": \"%s\", \"evaluations\": %" PRIu64
                      ", \"triggers\": %" PRIu64
                      ", \"fingerprint\": \"0x%016" PRIx64 "\"}%s\n",
-                     prudence::fault::site_name(r.id), r.evaluations,
-                     r.triggers, r.fingerprint,
+                     perturb::site_name(r.id), r.evaluations,
+                     r.fires, r.fingerprint,
                      i + 1 < reports.size() ? "," : "");
     }
     std::fprintf(f, "  ],\n");
@@ -731,9 +911,9 @@ run_scenario_mode(const Options& opt, prudence::RcuDomain& domain,
     prudence::print_scenario_row(std::cout, r);
 
     // Capture the fault report before the checks disturb anything.
-    FaultInjector& fi = FaultInjector::instance();
-    auto reports = fi.report_all();
-    fi.reset(opt.fault_seed);
+    Injector& inj = Injector::instance();
+    auto reports = settled_reports(opt.fault_seed);
+    inj.reset(opt.fault_seed);
 
     int failures = 0;
     auto fail = [&failures](const char* what) {
@@ -791,7 +971,7 @@ run_scenario_mode(const Options& opt, prudence::RcuDomain& domain,
                 replay_total, r.fingerprint,
                 failures == 0 ? "match" : "see failures");
 
-    int mismatches = fault_report(reports, opt.fault_seed);
+    int mismatches = fault_report(reports, opt.fault_seed, true);
     if (mismatches != 0)
         fail("fault decision sequence diverged from offline replay");
 
@@ -805,24 +985,15 @@ run_scenario_mode(const Options& opt, prudence::RcuDomain& domain,
     return 1;
 }
 
-}  // namespace
+// ---------------------------------------------------------------------
+// One torture run (fault or schedule mode).
+// ---------------------------------------------------------------------
 
-int
-main(int argc, char** argv)
+std::unique_ptr<prudence::Allocator>
+make_allocator(const Options& opt, prudence::RcuDomain& domain,
+               prudence::SlubAllocator** slub)
 {
-    Options opt;
-    if (!parse_options(argc, argv, opt))
-        return 2;
-
-    prudence::RcuConfig rcu_cfg;
-    rcu_cfg.gp_interval = std::chrono::microseconds(200);
-    // Deterministic mode: no free-running GP thread — the updater
-    // advances grace periods at fixed program-order points.
-    rcu_cfg.background_gp_thread = !opt.deterministic;
-    prudence::RcuDomain domain(rcu_cfg);
-
-    std::unique_ptr<prudence::Allocator> alloc;
-    prudence::SlubAllocator* slub = nullptr;
+    *slub = nullptr;
     if (opt.allocator == "slub") {
         prudence::SlubConfig cfg;
         cfg.arena_bytes = opt.arena_mb << 20;
@@ -832,21 +1003,68 @@ main(int argc, char** argv)
         if (opt.lockfree_pcpu >= 0)
             cfg.lockfree_pcpu = opt.lockfree_pcpu != 0;
         auto owned = std::make_unique<prudence::SlubAllocator>(domain, cfg);
-        slub = owned.get();
-        alloc = std::move(owned);
-    } else {
-        prudence::PrudenceConfig cfg;
-        cfg.arena_bytes = opt.arena_mb << 20;
-        cfg.magazine_capacity = opt.magazine_capacity;
-        cfg.pcp_high_watermark = opt.pcp_high_watermark;
-        cfg.pcp_batch = opt.pcp_batch;
-        if (opt.lockfree_pcpu >= 0)
-            cfg.lockfree_pcpu = opt.lockfree_pcpu != 0;
-        if (opt.deterministic)
-            cfg.maintenance_interval = std::chrono::microseconds(0);
-        alloc =
-            std::make_unique<prudence::PrudenceAllocator>(domain, cfg);
+        *slub = owned.get();
+        return owned;
     }
+    prudence::PrudenceConfig cfg;
+    cfg.arena_bytes = opt.arena_mb << 20;
+    cfg.magazine_capacity = opt.magazine_capacity;
+    cfg.pcp_high_watermark = opt.pcp_high_watermark;
+    cfg.pcp_batch = opt.pcp_batch;
+    if (opt.lockfree_pcpu >= 0)
+        cfg.lockfree_pcpu = opt.lockfree_pcpu != 0;
+    if (opt.deterministic)
+        cfg.maintenance_interval = std::chrono::microseconds(0);
+    if (opt.schedule) {
+        // Two virtual CPUs so the seeded threads share per-CPU state,
+        // and a fast maintenance tick racing them.
+        cfg.cpus = 2;
+        cfg.maintenance_interval = std::chrono::microseconds(100);
+    }
+    return std::make_unique<prudence::PrudenceAllocator>(domain, cfg);
+}
+
+struct RunResult
+{
+    /// Invariant and accounting failures, in detection order.
+    std::vector<std::string> failures;
+    /// Reference-model violations (schedule mode).
+    std::vector<perturb::Violation> violations;
+    /// The sites that were armed.
+    std::uint32_t armed = 0;
+
+    bool
+    failed() const
+    {
+        return !failures.empty() || !violations.empty();
+    }
+};
+
+/**
+ * One run under @p seed with the sites in @p sites armed: a fresh
+ * domain and allocator, the torture threads, and the quiesce-time
+ * checks. Fault mode (@p verbose) also prints the site tables, the
+ * run summary and the --report-json file.
+ */
+RunResult
+run_torture(const Options& opt, std::uint64_t seed, std::uint32_t sites,
+            bool verbose)
+{
+    RunResult result;
+    auto fail = [&result](std::string what) {
+        result.failures.push_back(std::move(what));
+    };
+
+    prudence::RcuConfig rcu_cfg;
+    rcu_cfg.gp_interval = std::chrono::microseconds(opt.schedule ? 50 : 200);
+    // Deterministic mode: no free-running GP thread — the updater
+    // advances grace periods at fixed program-order points.
+    rcu_cfg.background_gp_thread = !opt.deterministic;
+    prudence::RcuDomain domain(rcu_cfg);
+
+    prudence::SlubAllocator* slub = nullptr;
+    std::unique_ptr<prudence::Allocator> alloc =
+        make_allocator(opt, domain, &slub);
     prudence::CacheId cache =
         alloc->create_cache("torture.obj", kTortureObjSize);
 
@@ -855,17 +1073,26 @@ main(int argc, char** argv)
         std::chrono::milliseconds(opt.stall_threshold_ms);
     prudence::StallDetector detector(domain, stall_cfg);
 
-    // Arm faults only after construction so startup itself (arena
+    // Arm only after construction so startup itself (arena
     // reservation, cache creation) is not perturbed.
-    arm_faults(opt);
-
-    if (!opt.scenario.empty())
-        return run_scenario_mode(opt, domain, *alloc, slub);
+    Injector& inj = Injector::instance();
+    perturb::ModelChecker model;
+    if (opt.schedule) {
+        inj.reset(seed);
+        perturb::set_bug(opt.bug);
+        model.set_completed_provider(
+            [&domain] { return domain.completed_epoch(); });
+        perturb::ModelChecker::install(&model);
+        inj.start(sites, opt.base_delay_ns);
+    } else {
+        arm_faults(opt, seed, sites);
+    }
+    result.armed = inj.armed_mask() & ~perturb::kSessionBit;
 
     // Adaptive reclamation governor (DESIGN.md §13): a private 1 ms
     // monitor feeds the stock scheme list; the OOM ladder hands off
     // into the governor's terminal pressure level. With --governor the
-    // kGovernorAction site refuses a share of dispatches, so the
+    // governor_action site refuses a share of dispatches, so the
     // held-state retry path runs under the same determinism audit as
     // every other site.
     std::unique_ptr<prudence::telemetry::Monitor> gov_monitor;
@@ -904,25 +1131,28 @@ main(int argc, char** argv)
         gov->start();
     }
 
-    Torture t(opt, domain, *alloc, /*nslots=*/2048);
+    // Schedule mode keeps the slot table small so updates displace
+    // (and defer) objects from the first few dozen on.
+    Torture t(opt, seed, domain, *alloc,
+              /*nslots=*/opt.schedule ? 32 : 2048);
     t.cache = cache;
 
-    if (opt.ops != 0)
-        std::printf("prudtorture: allocator=%s arena=%zuMB readers=%u "
-                    "updaters=%u oom-threads=%u ops=%" PRIu64
-                    " deterministic=%s fault-seed=%" PRIu64
+    if (verbose && opt.ops != 0)
+        std::printf("prudtorture: allocator=%s arena=%zuMB readers=%" PRIu64
+                    " updaters=%" PRIu64 " oom-threads=%" PRIu64
+                    " ops=%" PRIu64 " deterministic=%s fault-seed=%" PRIu64
                     " faults=%s\n",
                     alloc->kind(), opt.arena_mb, opt.readers,
                     opt.updaters, opt.oom_threads, opt.ops,
-                    opt.deterministic ? "yes" : "no", opt.fault_seed,
+                    opt.deterministic ? "yes" : "no", seed,
                     opt.faults ? "on" : "off");
-    else
-        std::printf("prudtorture: allocator=%s arena=%zuMB readers=%u "
-                    "updaters=%u oom-threads=%u duration=%.1fs "
-                    "fault-seed=%" PRIu64 " faults=%s\n",
+    else if (verbose)
+        std::printf("prudtorture: allocator=%s arena=%zuMB readers=%" PRIu64
+                    " updaters=%" PRIu64 " oom-threads=%" PRIu64
+                    " duration=%.1fs fault-seed=%" PRIu64 " faults=%s\n",
                     alloc->kind(), opt.arena_mb, opt.readers,
-                    opt.updaters, opt.oom_threads, opt.duration_s,
-                    opt.fault_seed, opt.faults ? "on" : "off");
+                    opt.updaters, opt.oom_threads, opt.duration_s, seed,
+                    opt.faults ? "on" : "off");
 
     // Live per-layer console view: a Monitor polls the allocator,
     // domain and registry probes; a printer thread renders one
@@ -990,7 +1220,7 @@ main(int argc, char** argv)
                     stat_monitor->rounds());
     }
 
-    // Stop the governor before the fault report: no kGovernorAction
+    // Stop the governor before the site report: no governor_action
     // evaluation may land between the live capture and the replay
     // cross-check. stop() relaxes pacing and admission to nominal so
     // quiesce/validate below runs on an un-actuated allocator.
@@ -1007,11 +1237,14 @@ main(int argc, char** argv)
         gov_probes.reset();
     }
 
-    // Capture the live fault report, then disarm everything so the
-    // quiesce/validate phase runs unperturbed.
-    FaultInjector& fi = FaultInjector::instance();
-    auto reports = fi.report_all();
-    fi.reset(opt.fault_seed);
+    // Fault mode disarms everything so the quiesce/validate phase runs
+    // unperturbed; schedule mode keeps the session (and the model) on
+    // through quiesce, where the last deferred objects are reused.
+    std::vector<perturb::SiteReport> reports;
+    if (!opt.schedule) {
+        reports = settled_reports(seed);
+        inj.reset(seed);
+    }
 
     // Drain the published objects (still live) and settle.
     for (auto& slot : t.slots) {
@@ -1021,12 +1254,6 @@ main(int argc, char** argv)
     alloc->quiesce();
 
     // ---- invariant checks ----
-    int failures = 0;
-    auto fail = [&failures](const char* what) {
-        std::fprintf(stderr, "prudtorture: FAILURE: %s\n", what);
-        ++failures;
-    };
-
     if (t.epoch_violations.load() != 0)
         fail("object reused before its grace period completed");
     if (t.reader_violations.load() != 0)
@@ -1034,11 +1261,8 @@ main(int argc, char** argv)
              "critical section");
 
     std::string verr = alloc->validate();
-    if (!verr.empty()) {
-        std::fprintf(stderr, "prudtorture: FAILURE: validate(): %s\n",
-                     verr.c_str());
-        ++failures;
-    }
+    if (!verr.empty())
+        fail("validate(): " + verr);
     if (!alloc->page_allocator().check_integrity())
         fail("buddy allocator integrity check failed");
 
@@ -1057,10 +1281,18 @@ main(int argc, char** argv)
     if (opt.expect_stall && detector.stalls_detected() == 0)
         fail("expected a grace-period stall; none detected");
 
-    int mismatches = fault_report(reports, opt.fault_seed);
-    if (mismatches != 0)
+    if (opt.schedule) {
+        reports = settled_reports(seed);
+        perturb::ModelChecker::install(nullptr);
+        perturb::set_bug(perturb::BugId::kNone);
+        result.violations = model.violations();
+    }
+
+    if (fault_report(reports, seed, verbose) != 0)
         fail("fault decision sequence diverged from offline replay");
 
+    if (!verbose)
+        return result;
     if (!opt.report_json.empty() &&
         !write_report_json(opt.report_json, opt, reports, t, *alloc))
         fail("could not write --report-json file");
@@ -1100,12 +1332,269 @@ main(int argc, char** argv)
                     s.cache_name.c_str(), s.alloc_calls, s.oom_waits,
                     s.oom_expedites, s.oom_failures);
     }
+    return result;
+}
 
-    if (failures == 0) {
-        std::printf("\nprudtorture: SUCCESS (0 invariant violations)\n");
+// ---------------------------------------------------------------------
+// Failures: replay line, shrinking, JSON report; the seed sweep and
+// its self-test.
+// ---------------------------------------------------------------------
+
+std::string
+replay_line(const Options& opt, std::uint64_t seed, std::uint32_t sites)
+{
+    std::string line = "prudtorture" + opt.replay_args;
+    if (opt.lockfree_pcpu >= 0)
+        line += " --lockfree-pcpu=" +
+                std::to_string(opt.lockfree_pcpu != 0 ? 1 : 0);
+    line += opt.schedule ? " --seed=" : " --fault-seed=";
+    line += std::to_string(seed) + " --sites=" + perturb::mask_names(sites);
+    if (opt.bug != perturb::BugId::kNone)
+        line += std::string(" --bug=") + perturb::bug_name(opt.bug);
+    return line;
+}
+
+void
+print_failure(const Options& opt, std::uint64_t seed, const RunResult& r)
+{
+    for (const auto& what : r.failures)
+        std::printf("prudtorture: FAILURE: %s\n", what.c_str());
+    constexpr std::size_t kShown = 3;
+    for (std::size_t i = 0; i < r.violations.size() && i < kShown; ++i) {
+        const auto& v = r.violations[i];
+        std::printf("prudtorture: FAILURE: model violation %s obj=%p "
+                    "defer_epoch=%" PRIu64 " tag=%" PRIu64
+                    " completed=%" PRIu64 "\n",
+                    v.kind.c_str(), v.object, v.defer_epoch, v.tag,
+                    v.completed);
+    }
+    if (r.violations.size() > kShown)
+        std::printf("  (%zu more model violations)\n",
+                    r.violations.size() - kShown);
+    std::printf("  replay: %s\n", replay_line(opt, seed, r.armed).c_str());
+}
+
+/// Delta-debug the armed sites of a failing run down to a minimal
+/// still-failing subset; two attempts per candidate absorb scheduling
+/// noise, so a site is dropped only when the failure reproduces
+/// without it.
+std::uint32_t
+shrink_failure(const Options& opt, std::uint64_t seed, std::uint32_t sites)
+{
+    return perturb::shrink_mask(sites, [&](std::uint32_t candidate) {
+        for (int attempt = 0; attempt < 2; ++attempt) {
+            if (run_torture(opt, seed, candidate, false).failed()) {
+                std::printf("  shrink: still fails with {%s}\n",
+                            perturb::mask_names(candidate).c_str());
+                return true;
+            }
+        }
+        return false;
+    });
+}
+
+void
+write_failure_report(const Options& opt, std::uint64_t seed,
+                     std::uint32_t shrunk, const RunResult& r)
+{
+    if (opt.report.empty())
+        return;
+    std::FILE* f = std::fopen(opt.report.c_str(), "w");
+    if (f == nullptr) {
+        std::fprintf(stderr, "prudtorture: cannot write %s\n",
+                     opt.report.c_str());
+        return;
+    }
+    std::fprintf(f, "{\n");
+    std::fprintf(f, "  \"mode\": \"%s\",\n",
+                 opt.schedule ? "schedule" : "fault");
+    std::fprintf(f, "  \"seed\": %" PRIu64 ",\n", seed);
+    std::fprintf(f, "  \"sites\": \"%s\",\n",
+                 perturb::mask_names(r.armed).c_str());
+    std::fprintf(f, "  \"shrunk_sites\": \"%s\",\n",
+                 perturb::mask_names(shrunk).c_str());
+    std::fprintf(f, "  \"bug\": \"%s\",\n", perturb::bug_name(opt.bug));
+    std::fprintf(f, "  \"magazine_capacity\": %zu,\n",
+                 opt.magazine_capacity);
+    std::fprintf(f, "  \"pcp_high_watermark\": %zu,\n",
+                 opt.pcp_high_watermark);
+    std::fprintf(f, "  \"violations\": %zu,\n", r.violations.size());
+    std::fprintf(f, "  \"first_violation\": \"%s\",\n",
+                 r.violations.empty() ? "" : r.violations[0].kind.c_str());
+    std::fprintf(f, "  \"first_failure\": \"%s\",\n",
+                 r.failures.empty() ? "" : r.failures[0].c_str());
+    std::fprintf(f, "  \"replay\": \"%s\"\n",
+                 replay_line(opt, seed, shrunk).c_str());
+    std::fprintf(f, "}\n");
+    std::fclose(f);
+}
+
+/// Report a failing run: failures, replay line, shrunk mask, JSON.
+int
+handle_failure(const Options& opt, std::uint64_t seed, const RunResult& r)
+{
+    print_failure(opt, seed, r);
+    std::uint32_t shrunk = r.armed;
+    if (opt.shrink && r.armed != 0) {
+        shrunk = shrink_failure(opt, seed, r.armed);
+        std::printf("minimal sites: {%s}\n",
+                    perturb::mask_names(shrunk).c_str());
+        std::printf("replay: %s\n", replay_line(opt, seed, shrunk).c_str());
+    }
+    write_failure_report(opt, seed, shrunk, r);
+    return 1;
+}
+
+/// Sweep the schedule seeds until one fails. @return true (with the
+/// seed and its result) on a failure, false when every seed is clean.
+bool
+sweep(const Options& opt, std::uint64_t* failing_seed, RunResult* failing)
+{
+    for (std::uint64_t i = 0; i < opt.seeds; ++i) {
+        const std::uint64_t seed = opt.seed_base + i;
+        RunResult r = run_torture(opt, seed, opt.sites, false);
+        if (r.failed()) {
+            std::printf("seed %" PRIu64 ": FAIL\n", seed);
+            *failing_seed = seed;
+            *failing = std::move(r);
+            return true;
+        }
+        if ((i + 1) % 10 == 0)
+            std::printf("  %" PRIu64 "/%" PRIu64 " seeds clean\n", i + 1,
+                        opt.seeds);
+    }
+    return false;
+}
+
+/// Convict the armed bug within the seed budget, then replay the
+/// seed. @return the failing seed (and its run in @p r), or 0 when
+/// either step fails.
+std::uint64_t
+convict(const Options& opt, int step, RunResult& r)
+{
+    std::printf("[%d/6] sweeping up to %" PRIu64 " seeds with --bug=%s\n",
+                step, opt.seeds, perturb::bug_name(opt.bug));
+    std::uint64_t seed = 0;
+    if (!sweep(opt, &seed, &r)) {
+        std::printf("FAIL: deliberate bug not found within %" PRIu64
+                    " seeds\n",
+                    opt.seeds);
         return 0;
     }
-    std::fprintf(stderr, "\nprudtorture: %d check(s) FAILED\n",
-                 failures);
-    return 1;
+    print_failure(opt, seed, r);
+    std::printf("[%d/6] replaying seed %" PRIu64 "\n", step + 1, seed);
+    RunResult replay = run_torture(opt, seed, opt.sites, false);
+    if (!replay.failed()) {
+        std::printf("FAIL: seed %" PRIu64 " did not reproduce on replay\n",
+                    seed);
+        return 0;
+    }
+    std::printf("  reproduced (%zu violations)\n",
+                replay.violations.size());
+    return seed;
+}
+
+/**
+ * Prove the schedule sweep works: convict the stale-spill-tag bug,
+ * replay and shrink its seed, pass a clean sweep with the bug
+ * disarmed, then convict the unprotected-depot-pop bug on the
+ * lock-free leg (the only leg with a depot).
+ */
+int
+self_test(const Options& opt)
+{
+    std::printf("prudtorture self-test\n");
+    Options stale = opt;
+    stale.bug = perturb::BugId::kStaleSpillTag;
+    RunResult r;
+    const std::uint64_t seed = convict(stale, 1, r);
+    if (seed == 0)
+        return 1;
+    std::uint32_t shrunk = stale.sites;
+    if (opt.shrink) {
+        std::printf("[3/6] shrinking the site set\n");
+        shrunk = shrink_failure(stale, seed, stale.sites);
+        std::printf("  minimal sites: {%s}\n",
+                    perturb::mask_names(shrunk).c_str());
+    } else {
+        std::printf("[3/6] shrink skipped (--no-shrink)\n");
+    }
+    write_failure_report(stale, seed, shrunk, r);
+
+    std::printf("[4/6] sweeping %" PRIu64 " seeds with the bug disarmed\n",
+                opt.seeds);
+    Options clean = opt;
+    clean.bug = perturb::BugId::kNone;
+    std::uint64_t clean_seed = 0;
+    RunResult clean_r;
+    if (sweep(clean, &clean_seed, &clean_r)) {
+        print_failure(clean, clean_seed, clean_r);
+        std::printf("FAIL: unmodified code failed under seed %" PRIu64
+                    "\n",
+                    clean_seed);
+        return 1;
+    }
+
+    Options depot = opt;
+    depot.bug = perturb::BugId::kUnprotectedDepotPop;
+    depot.lockfree_pcpu = 1;
+    const std::uint64_t depot_seed = convict(depot, 5, r);
+    if (depot_seed == 0)
+        return 1;
+    std::printf("self-test PASS (bugs found at seeds %" PRIu64
+                " and %" PRIu64 ", clean sweep clean)\n",
+                seed, depot_seed);
+    return 0;
+}
+
+}  // namespace
+
+int
+main(int argc, char** argv)
+{
+    Options opt;
+    if (!parse_options(argc, argv, opt))
+        return 2;
+
+    if (!opt.scenario.empty()) {
+        prudence::RcuConfig rcu_cfg;
+        rcu_cfg.gp_interval = std::chrono::microseconds(200);
+        prudence::RcuDomain domain(rcu_cfg);
+        prudence::SlubAllocator* slub = nullptr;
+        auto alloc = make_allocator(opt, domain, &slub);
+        arm_faults(opt, opt.fault_seed, opt.sites);
+        return run_scenario_mode(opt, domain, *alloc, slub);
+    }
+
+    if (opt.self_test)
+        return self_test(opt);
+
+    if (opt.schedule && opt.seed == 0) {
+        std::printf("prudtorture: sweeping %" PRIu64 " seeds from %" PRIu64
+                    " (sites={%s}, bug=%s, mags=%zu, pcp=%zu)\n",
+                    opt.seeds, opt.seed_base,
+                    perturb::mask_names(opt.sites).c_str(),
+                    perturb::bug_name(opt.bug), opt.magazine_capacity,
+                    opt.pcp_high_watermark);
+        std::uint64_t seed = 0;
+        RunResult r;
+        if (sweep(opt, &seed, &r))
+            return handle_failure(opt, seed, r);
+        std::printf("prudtorture: all %" PRIu64 " seeds clean\n",
+                    opt.seeds);
+        return 0;
+    }
+
+    const std::uint64_t seed = opt.schedule ? opt.seed : opt.fault_seed;
+    RunResult r = run_torture(opt, seed, opt.sites, !opt.schedule);
+    if (!r.failed()) {
+        if (opt.schedule)
+            std::printf("seed %" PRIu64 ": PASS\n", seed);
+        else
+            std::printf("\nprudtorture: SUCCESS (0 invariant violations)\n");
+        return 0;
+    }
+    std::printf("\nprudtorture: %zu check(s) FAILED\n",
+                r.failures.size() + r.violations.size());
+    return handle_failure(opt, seed, r);
 }
