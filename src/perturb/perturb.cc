@@ -230,7 +230,7 @@ bool
 mask_from_names(const std::string& list, std::uint32_t& mask)
 {
     std::uint32_t out = 0;
-    std::size_t pos = 0;
+    std::size_t pos = list == "none" ? list.size() : 0;
     while (pos < list.size()) {
         std::size_t comma = list.find(',', pos);
         if (comma == std::string::npos)
@@ -249,6 +249,8 @@ std::uint32_t
 shrink_mask(std::uint32_t mask,
             const std::function<bool(std::uint32_t)>& fails)
 {
+    if (mask == 0 || fails(0))
+        return 0;
     for (std::size_t i = 1; i < std::size(kSites); ++i) {
         const std::uint32_t bit = site_bit(static_cast<SiteId>(i));
         if ((mask & bit) == 0 || (mask & ~bit) == 0)

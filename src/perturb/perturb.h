@@ -140,14 +140,15 @@ std::uint32_t schedule_sites();
 /// Comma-separated site names of @p mask ("none" when empty).
 std::string mask_names(std::uint32_t mask);
 
-/// Parse a comma-separated name list into @p mask; false (and
-/// @p mask untouched) on an unknown name.
+/// Parse a comma-separated name list ("none" = the empty mask) into
+/// @p mask; false (and @p mask untouched) on an unknown name.
 bool mask_from_names(const std::string& list, std::uint32_t& mask);
 
 /**
- * Greedy delta debugging over a site mask: try dropping each site in
- * enum order and keep the drop whenever @p fails still holds for the
- * smaller mask. Never shrinks to the empty mask. Pure apart from the
+ * Greedy delta debugging over a site mask: first try the empty mask
+ * (a failure that needs no perturbation shrinks to it), then try
+ * dropping each site in enum order and keep the drop whenever
+ * @p fails still holds for the smaller mask. Pure apart from the
  * predicate, so a failing fault set and a failing schedule shrink the
  * same way.
  */

@@ -93,7 +93,10 @@ ThreadRegistry::acquire_slot()
     std::lock_guard<std::mutex> lock(acquire_mutex_);
     for (std::size_t i = 0; i < capacity_; ++i) {
         ThreadSlot& s = slots_[i];
-        if (!s.in_use.load(std::memory_order_relaxed)) {
+        // Acquire pairs with release_slot(): the previous owner's
+        // owner-only writes (nesting, section stamp) happen before
+        // ours.
+        if (!s.in_use.load(std::memory_order_acquire)) {
             s.value.store(0, std::memory_order_relaxed);
             s.nesting = 0;
             s.in_use.store(true, std::memory_order_release);

@@ -91,13 +91,22 @@ TEST(SimNames, ShrinkMaskFindsTheFailingPair)
         return (mask & pair) == pair;
     };
     EXPECT_EQ(perturb::shrink_mask(perturb::all_sites(), fails), pair);
-    EXPECT_EQ(runs, static_cast<int>(SiteId::kMaxSite) - 1)
-        << "one trial per site";
+    EXPECT_EQ(runs, static_cast<int>(SiteId::kMaxSite))
+        << "one trial of the empty mask, then one per site";
     EXPECT_EQ(perturb::shrink_mask(pair, fails), pair);
-    // A single failing site never shrinks to the empty mask.
-    const std::uint32_t one = perturb::site_bit(SiteId::kGpPublish);
-    EXPECT_EQ(perturb::shrink_mask(one, [](std::uint32_t) { return true; }),
-              one);
+    // A failure that needs no site shrinks to the empty mask in one
+    // trial, and "none" names (and parses back to) that mask.
+    runs = 0;
+    auto always = [&](std::uint32_t) {
+        ++runs;
+        return true;
+    };
+    EXPECT_EQ(perturb::shrink_mask(perturb::all_sites(), always), 0u);
+    EXPECT_EQ(runs, 1);
+    EXPECT_EQ(perturb::mask_names(0), "none");
+    std::uint32_t parsed = pair;
+    EXPECT_TRUE(perturb::mask_from_names("none", parsed));
+    EXPECT_EQ(parsed, 0u);
 }
 
 TEST(SimDecide, ReplaysArePinnedAcrossTheRegistryMerge)

@@ -6,9 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <mutex>
 #include <set>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -141,6 +143,42 @@ TEST(ThreadRegistry, SlotsReleasedAtThreadExit)
         tt.join();
     }
     EXPECT_LE(reg.registered_count(), 16u);
+}
+
+TEST(ThreadRegistry, RecycledSlotIsOrderedAfterItsLastOwner)
+{
+    // The next owner of a recycled slot must see the last owner's
+    // owner-only writes (nesting, section stamp) as happening before
+    // its own, even when nothing but the slot hand-off orders the two
+    // threads: no join, only a relaxed flag and a sleep. ThreadSanitizer
+    // reports a data race here if acquiring a slot does not
+    // synchronize with its release.
+    ThreadRegistry reg(1);
+    std::atomic<bool> first_done{false};
+    std::thread first([&] {
+        ThreadSlot& s = reg.slot();
+        s.nesting = 1;
+        s.section_start_ns = 1;
+        first_done.store(true, std::memory_order_relaxed);
+    });
+    std::thread second([&] {
+        while (!first_done.load(std::memory_order_relaxed))
+            std::this_thread::yield();
+        // Capacity 1: this acquire waits out the first owner's exit.
+        for (;;) {
+            try {
+                ThreadSlot& s = reg.slot();
+                s.nesting = 2;
+                s.section_start_ns = 2;
+                break;
+            } catch (const std::runtime_error&) {
+                std::this_thread::sleep_for(std::chrono::milliseconds(1));
+            }
+        }
+    });
+    first.join();
+    second.join();
+    EXPECT_LE(reg.registered_count(), 1u);
 }
 
 TEST(ThreadRegistry, CapacityExhaustionThrows)

@@ -20,18 +20,17 @@
  *    policy, evaluation count) — the same seed provably makes the
  *    same decisions, whatever the thread interleaving.
  *
- * Two perturbation modes share those threads and checks:
- *
- *  - fault mode (the default): the fault sites fire at --fault-rate
- *    for --duration seconds (or --ops updates per updater) under
- *    --fault-seed.
- *  - schedule mode (--seeds, --seed or --self-test): each seed is one
- *    reproducible schedule-policy perturbation of the race windows,
- *    with the sequential reference model (perturb::ModelChecker)
- *    installed. --self-test proves the sweep still convicts the
- *    deliberate bugs (stale-spill-tag; unprotected-depot-pop on the
- *    lock-free leg), replays and shrinks the failing seed, and passes
- *    a clean sweep with the bugs disarmed.
+ * Those threads and checks are fault mode (the default): the fault
+ * sites fire at --fault-rate for --duration seconds (or --ops updates
+ * in total) under --fault-seed. Schedule mode (--seeds, --seed or
+ * --self-test) runs a smaller kmalloc updater/reader fleet instead:
+ * each seed is one reproducible schedule-policy perturbation of the
+ * race windows, with the sequential reference model
+ * (perturb::ModelChecker) installed and the same quiesce-time
+ * accounting checks. --self-test proves the sweep still convicts the
+ * deliberate bugs (stale-spill-tag; unprotected-depot-pop on the
+ * lock-free leg), replays and shrinks the failing seed, and passes a
+ * clean sweep with the bugs disarmed.
  *
  * A failing run prints a replay line; the armed-site mask of the
  * failure (fault set or race windows) is shrunk to a minimal
@@ -97,6 +96,8 @@ using perturb::SiteId;
 
 /// Marks a knob whose default depends on the mode.
 constexpr std::uint64_t kModeDefault = ~std::uint64_t{0};
+/// Marks an unset --sites (the session bit is never a site).
+constexpr std::uint32_t kModeSites = ~std::uint32_t{0};
 
 struct Options
 {
@@ -109,17 +110,20 @@ struct Options
     std::uint64_t updaters = kModeDefault;
     std::uint64_t oom_threads = kModeDefault;
     std::string allocator = "prudence";
-    std::size_t arena_mb = 32;
-    std::size_t magazine_capacity = 32;
-    std::size_t pcp_high_watermark = 32;
+    /// Arena, magazines, page cache: fault mode 32 / 32 / 32, schedule
+    /// mode 16 / 16 / 16.
+    std::size_t arena_mb = kModeDefault;
+    std::size_t magazine_capacity = kModeDefault;
+    std::size_t pcp_high_watermark = kModeDefault;
     std::size_t pcp_batch = 8;
     std::uint64_t stall_threshold_ms = 1000;
     /// Lock-free per-CPU caches + magazine depot (DESIGN.md §14):
     /// -1 = build default, 0 = legacy spinlock leg, 1 = lock-free leg.
     int lockfree_pcpu = -1;
     bool expect_stall = false;
-    /// Each updater stops after this many updates instead of after
-    /// --duration (0 = duration-bounded; schedule mode default 300).
+    /// Stop after this many updates in total instead of after
+    /// --duration (0 = duration-bounded); schedule mode: updates per
+    /// updater (default 300).
     std::uint64_t ops = kModeDefault;
     /// Single-threaded, ops-bounded, no background threads: two runs
     /// with the same --fault-seed are bit-identical in every fault
@@ -156,9 +160,9 @@ struct Options
     std::uint64_t seeds = 20;     ///< sweep width
     std::uint64_t seed_base = 1;  ///< first seed of the sweep
     std::uint64_t seed = 0;       ///< != 0: replay this single seed
-    /// Sites to arm (0 = the mode's set: the fault sites, or the race
-    /// windows).
-    std::uint32_t sites = 0;
+    /// Sites to arm (kModeSites = the mode's set: the fault sites, or
+    /// the race windows).
+    std::uint32_t sites = kModeSites;
     perturb::BugId bug = perturb::BugId::kNone;
     std::uint64_t base_delay_ns = 50'000;
     bool self_test = false;
@@ -190,11 +194,14 @@ usage(const char* argv0)
         "schedule mode 0)\n"
         "  --allocator=KIND         prudence | slub (default prudence)\n"
         "  --arena-mb=N             simulated physical memory "
-        "(default 32)\n"
+        "(default 32;\n"
+        "                           schedule mode 16)\n"
         "  --magazine-capacity=N    thread-local magazine depth, "
-        "0 = off (default 32)\n"
+        "0 = off (default 32;\n"
+        "                           schedule mode 16)\n"
         "  --pcp-high-watermark=N   per-CPU page-cache watermark, "
-        "0 = off (default 32)\n"
+        "0 = off (default 32;\n"
+        "                           schedule mode 16)\n"
         "  --lockfree-pcpu=0|1      legacy spinlock (0) or lock-free "
         "per-CPU\n"
         "                           caches + depot (1); default = "
@@ -205,9 +212,9 @@ usage(const char* argv0)
         "(default 1000)\n"
         "  --expect-stall           inject one long GP stall and "
         "require detection\n"
-        "  --ops=N                  each updater stops after N updates "
-        "instead of\n"
-        "                           --duration (schedule mode "
+        "  --ops=N                  stop after N updates instead of "
+        "--duration\n"
+        "                           (schedule mode: N per updater, "
         "default 300)\n"
         "  --deterministic          1 updater, no readers/OOM/"
         "background threads;\n"
@@ -225,7 +232,7 @@ usage(const char* argv0)
         "governor over the\n"
         "                           torture and arm governor_action "
         "refusal faults\n"
-        "  --sites=a,b,...          arm only these sites (default: "
+        "  --sites=a,b,...|none     arm only these sites (default: "
         "every fault site,\n"
         "                           or every race window in schedule "
         "mode)\n"
@@ -340,8 +347,7 @@ parse_options(int argc, char** argv, Options& opt)
         else if (flag_value(argv[i], "--scenario-duration-ms", &v))
             opt.scenario_duration_ms = std::strtoull(v, nullptr, 0);
         else if (flag_value(argv[i], "--sites", &v)) {
-            if (!perturb::mask_from_names(v, opt.sites) ||
-                opt.sites == 0) {
+            if (!perturb::mask_from_names(v, opt.sites)) {
                 std::fprintf(stderr, "prudtorture: bad --sites=%s\n", v);
                 return false;
             }
@@ -408,28 +414,17 @@ parse_options(int argc, char** argv, Options& opt)
                      "--governor\n");
         return false;
     }
+    if (opt.deterministic &&
+        (opt.allocator != "prudence" || opt.expect_stall || opt.governor)) {
+        // SLUB's callback drainer, the GP thread a stall would delay,
+        // and the governor's loops are all free-running threads.
+        std::fprintf(stderr,
+                     "prudtorture: --deterministic runs the Prudence "
+                     "allocator and excludes --expect-stall and "
+                     "--governor\n");
+        return false;
+    }
     if (opt.deterministic) {
-        if (opt.allocator != "prudence") {
-            std::fprintf(stderr,
-                         "prudtorture: --deterministic requires "
-                         "--allocator=prudence (the SLUB baseline's "
-                         "callback drainer is a free-running thread)\n");
-            return false;
-        }
-        if (opt.expect_stall) {
-            std::fprintf(stderr,
-                         "prudtorture: --deterministic excludes "
-                         "--expect-stall (no background GP thread to "
-                         "stall)\n");
-            return false;
-        }
-        if (opt.governor) {
-            std::fprintf(stderr,
-                         "prudtorture: --deterministic excludes "
-                         "--governor (the monitor sampler and governor "
-                         "loop are free-running threads)\n");
-            return false;
-        }
         // Exactly one mutator, nothing racing it: every fault-site
         // evaluation happens at a fixed position in program order.
         opt.updaters = 1;
@@ -438,8 +433,8 @@ parse_options(int argc, char** argv, Options& opt)
         if (opt.ops == kModeDefault)
             opt.ops = 50000;
     }
-    auto pick = [&opt](std::uint64_t& knob, std::uint64_t fault_default,
-                       std::uint64_t schedule_default) {
+    auto pick = [&opt](auto& knob, auto fault_default,
+                       auto schedule_default) {
         if (knob == kModeDefault)
             knob = opt.schedule ? schedule_default : fault_default;
     };
@@ -447,7 +442,10 @@ parse_options(int argc, char** argv, Options& opt)
     pick(opt.updaters, 4, 2);
     pick(opt.oom_threads, 1, 0);
     pick(opt.ops, 0, 300);
-    if (opt.sites == 0)
+    pick(opt.arena_mb, 32, 16);
+    pick(opt.magazine_capacity, 32, 16);
+    pick(opt.pcp_high_watermark, 32, 16);
+    if (opt.sites == kModeSites)
         opt.sites = opt.schedule ? perturb::schedule_sites()
                                  : perturb::all_sites();
     return true;
@@ -518,20 +516,20 @@ struct Torture
 void
 updater_main(Torture& t, unsigned id)
 {
-    // A stable logical id keeps the thread's PCT priority seed-pure.
-    Injector::bind_thread(id);
     std::mt19937_64 rng(t.seed * 1000003 + id);
     std::uniform_int_distribution<std::size_t> pick(
         0, t.slots.size() - 1);
 
-    std::uint64_t done = 0;
-    while (!t.stop.load(std::memory_order_relaxed) &&
-           (t.opt.ops == 0 || done < t.opt.ops)) {
+    while (!t.stop.load(std::memory_order_relaxed)) {
+        if (t.opt.ops != 0 &&
+            t.updates.load(std::memory_order_relaxed) >= t.opt.ops)
+            break;
         // Deterministic mode has no background GP thread; the one
         // updater drives grace periods itself at a fixed cadence so
         // epoch completion sits at the same program-order points in
         // every run.
-        if (t.opt.deterministic && done % 256 == 255)
+        if (t.opt.deterministic &&
+            t.updates.load(std::memory_order_relaxed) % 256 == 255)
             t.domain.advance();
         auto* obj =
             static_cast<TortureObj*>(t.alloc.cache_alloc(t.cache));
@@ -576,16 +574,12 @@ updater_main(Torture& t, unsigned id)
             t.alloc.cache_free_deferred(t.cache, old);
         }
         t.updates.fetch_add(1, std::memory_order_relaxed);
-        ++done;
     }
-    Injector::unbind_thread();
 }
 
 void
 reader_main(Torture& t, unsigned id)
 {
-    Injector::bind_thread(static_cast<std::uint32_t>(t.opt.updaters) +
-                          id);
     std::mt19937_64 rng(t.seed * 7000003 + id);
     std::uniform_int_distribution<std::size_t> pick(
         0, t.slots.size() - 1);
@@ -609,7 +603,6 @@ reader_main(Torture& t, unsigned id)
             t.reads.fetch_add(1, std::memory_order_relaxed);
         }
     }
-    Injector::unbind_thread();
 }
 
 void
@@ -855,6 +848,35 @@ write_report_json(const std::string& path, const Options& opt,
     return true;
 }
 
+/**
+ * The quiesce-time accounting identities: validate(), the buddy
+ * integrity walk (free + cached + used == capacity), no live objects,
+ * no deferrals outstanding and, on the SLUB baseline, no callback
+ * backlog. @return the failures, in check order.
+ */
+std::vector<std::string>
+quiesce_failures(prudence::Allocator& alloc, prudence::SlubAllocator* slub)
+{
+    std::vector<std::string> failures;
+    std::string verr = alloc.validate();
+    if (!verr.empty())
+        failures.push_back("validate(): " + verr);
+    if (!alloc.page_allocator().check_integrity())
+        failures.push_back("buddy allocator integrity check failed");
+    std::int64_t live = 0, deferred = 0;
+    for (const auto& s : alloc.snapshots()) {
+        live += s.live_objects;
+        deferred += s.deferred_outstanding;
+    }
+    if (live != 0)
+        failures.push_back("live objects remain after quiesce");
+    if (deferred != 0)
+        failures.push_back("deferred objects remain after quiesce");
+    if (slub != nullptr && slub->callback_stats().backlog != 0)
+        failures.push_back("callback backlog remains after quiesce");
+    return failures;
+}
+
 // ---------------------------------------------------------------------
 // Scenario mode (DESIGN.md §15): run the load engine, then check the
 // same quiesce-time invariants plus the offline op-stream replay.
@@ -921,27 +943,10 @@ run_scenario_mode(const Options& opt, prudence::RcuDomain& domain,
         ++failures;
     };
 
-    // The engine quiesced at teardown: exact accounting must hold.
-    std::string verr = alloc.validate();
-    if (!verr.empty()) {
-        std::fprintf(stderr, "prudtorture: FAILURE: validate(): %s\n",
-                     verr.c_str());
-        ++failures;
-    }
-    if (!alloc.page_allocator().check_integrity())
-        fail("buddy allocator integrity check failed");
-    std::int64_t live = 0, deferred = 0;
-    for (const auto& s : alloc.snapshots()) {
-        live += s.live_objects;
-        deferred += s.deferred_outstanding;
-    }
-    if (live != 0)
-        fail("live objects remain after quiesce (leaked connections "
-             "or published objects)");
-    if (deferred != 0)
-        fail("deferred objects remain after quiesce");
-    if (slub != nullptr && slub->callback_stats().backlog != 0)
-        fail("callback backlog remains after quiesce");
+    // The engine quiesced at teardown (a live object is a leaked
+    // connection or published object): exact accounting must hold.
+    for (const std::string& what : quiesce_failures(alloc, slub))
+        fail(what.c_str());
     if (r.latency.count != r.completed_requests)
         fail("latency histogram total != completed requests");
 
@@ -986,7 +991,7 @@ run_scenario_mode(const Options& opt, prudence::RcuDomain& domain,
 }
 
 // ---------------------------------------------------------------------
-// One torture run (fault or schedule mode).
+// One run: the torture threads (fault mode) or the schedule fleet.
 // ---------------------------------------------------------------------
 
 std::unique_ptr<prudence::Allocator>
@@ -1041,10 +1046,10 @@ struct RunResult
 };
 
 /**
- * One run under @p seed with the sites in @p sites armed: a fresh
- * domain and allocator, the torture threads, and the quiesce-time
- * checks. Fault mode (@p verbose) also prints the site tables, the
- * run summary and the --report-json file.
+ * One fault-mode run under @p seed with the sites in @p sites armed: a
+ * fresh domain and allocator, the torture threads, and the
+ * quiesce-time checks. @p verbose also prints the site tables, the run
+ * summary and the --report-json file.
  */
 RunResult
 run_torture(const Options& opt, std::uint64_t seed, std::uint32_t sites,
@@ -1056,7 +1061,7 @@ run_torture(const Options& opt, std::uint64_t seed, std::uint32_t sites,
     };
 
     prudence::RcuConfig rcu_cfg;
-    rcu_cfg.gp_interval = std::chrono::microseconds(opt.schedule ? 50 : 200);
+    rcu_cfg.gp_interval = std::chrono::microseconds(200);
     // Deterministic mode: no free-running GP thread — the updater
     // advances grace periods at fixed program-order points.
     rcu_cfg.background_gp_thread = !opt.deterministic;
@@ -1076,17 +1081,7 @@ run_torture(const Options& opt, std::uint64_t seed, std::uint32_t sites,
     // Arm only after construction so startup itself (arena
     // reservation, cache creation) is not perturbed.
     Injector& inj = Injector::instance();
-    perturb::ModelChecker model;
-    if (opt.schedule) {
-        inj.reset(seed);
-        perturb::set_bug(opt.bug);
-        model.set_completed_provider(
-            [&domain] { return domain.completed_epoch(); });
-        perturb::ModelChecker::install(&model);
-        inj.start(sites, opt.base_delay_ns);
-    } else {
-        arm_faults(opt, seed, sites);
-    }
+    arm_faults(opt, seed, sites);
     result.armed = inj.armed_mask() & ~perturb::kSessionBit;
 
     // Adaptive reclamation governor (DESIGN.md §13): a private 1 ms
@@ -1131,10 +1126,7 @@ run_torture(const Options& opt, std::uint64_t seed, std::uint32_t sites,
         gov->start();
     }
 
-    // Schedule mode keeps the slot table small so updates displace
-    // (and defer) objects from the first few dozen on.
-    Torture t(opt, seed, domain, *alloc,
-              /*nslots=*/opt.schedule ? 32 : 2048);
+    Torture t(opt, seed, domain, *alloc, /*nslots=*/2048);
     t.cache = cache;
 
     if (verbose && opt.ops != 0)
@@ -1237,14 +1229,10 @@ run_torture(const Options& opt, std::uint64_t seed, std::uint32_t sites,
         gov_probes.reset();
     }
 
-    // Fault mode disarms everything so the quiesce/validate phase runs
-    // unperturbed; schedule mode keeps the session (and the model) on
-    // through quiesce, where the last deferred objects are reused.
-    std::vector<perturb::SiteReport> reports;
-    if (!opt.schedule) {
-        reports = settled_reports(seed);
-        inj.reset(seed);
-    }
+    // Disarm everything so the quiesce/validate phase runs
+    // unperturbed.
+    std::vector<perturb::SiteReport> reports = settled_reports(seed);
+    inj.reset(seed);
 
     // Drain the published objects (still live) and settle.
     for (auto& slot : t.slots) {
@@ -1260,33 +1248,11 @@ run_torture(const Options& opt, std::uint64_t seed, std::uint32_t sites,
         fail("reader observed reclaimed memory in a read-side "
              "critical section");
 
-    std::string verr = alloc->validate();
-    if (!verr.empty())
-        fail("validate(): " + verr);
-    if (!alloc->page_allocator().check_integrity())
-        fail("buddy allocator integrity check failed");
-
-    std::int64_t live = 0, deferred = 0;
-    for (const auto& s : alloc->snapshots()) {
-        live += s.live_objects;
-        deferred += s.deferred_outstanding;
-    }
-    if (live != 0)
-        fail("live objects remain after quiesce");
-    if (deferred != 0)
-        fail("deferred objects remain after quiesce");
-    if (slub != nullptr && slub->callback_stats().backlog != 0)
-        fail("callback backlog remains after quiesce");
+    for (std::string& what : quiesce_failures(*alloc, slub))
+        fail(std::move(what));
 
     if (opt.expect_stall && detector.stalls_detected() == 0)
         fail("expected a grace-period stall; none detected");
-
-    if (opt.schedule) {
-        reports = settled_reports(seed);
-        perturb::ModelChecker::install(nullptr);
-        perturb::set_bug(perturb::BugId::kNone);
-        result.violations = model.violations();
-    }
 
     if (fault_report(reports, seed, verbose) != 0)
         fail("fault decision sequence diverged from offline replay");
@@ -1333,6 +1299,117 @@ run_torture(const Options& opt, std::uint64_t seed, std::uint32_t sites,
                     s.oom_expedites, s.oom_failures);
     }
     return result;
+}
+
+/**
+ * One schedule-mode run under @p seed with the race windows in
+ * @p sites perturbed: a fresh domain and allocator, a small updater /
+ * reader fleet with bound logical thread ids, the reference model
+ * checking throughout, and the quiesce-time identities at the end.
+ */
+RunResult
+run_schedule(const Options& opt, std::uint64_t seed, std::uint32_t sites)
+{
+    RunResult result;
+    Injector& inj = Injector::instance();
+    inj.reset(seed);
+    perturb::set_bug(opt.bug);
+
+    prudence::RcuConfig rcu_cfg;
+    rcu_cfg.gp_interval = std::chrono::microseconds(50);
+    prudence::RcuDomain domain(rcu_cfg);
+    prudence::SlubAllocator* slub = nullptr;
+    std::unique_ptr<prudence::Allocator> alloc =
+        make_allocator(opt, domain, &slub);
+
+    perturb::ModelChecker model;
+    model.set_completed_provider(
+        [&domain] { return domain.completed_epoch(); });
+    perturb::ModelChecker::install(&model);
+    inj.start(sites, opt.base_delay_ns);
+    result.armed = sites;
+
+    // A small slot table, so updates displace (and defer) objects from
+    // the first few dozen on.
+    constexpr std::size_t kSlots = 32;
+    std::atomic<void*> slots[kSlots] = {};
+
+    auto updater = [&](unsigned id) {
+        // A stable logical id keeps the thread's PCT priority
+        // seed-pure.
+        Injector::bind_thread(id);
+        for (std::uint64_t k = 0; k < opt.ops; ++k) {
+            void* obj = alloc->kmalloc(64);
+            if (obj == nullptr)
+                continue;
+            // Publish, retire the displaced object through the
+            // deferral path, and occasionally free immediately to mix
+            // magazine refills with spills.
+            void* old = slots[(id * 131 + k) % kSlots].exchange(
+                obj, std::memory_order_acq_rel);
+            if (old != nullptr)
+                alloc->kfree_deferred(old);
+            if ((k & 15) == 0) {
+                if (void* extra = alloc->kmalloc(128))
+                    alloc->kfree(extra);
+            }
+        }
+        Injector::unbind_thread();
+    };
+    auto reader = [&](unsigned id) {
+        Injector::bind_thread(id);
+        for (std::uint64_t k = 0; k < opt.ops * 2; ++k) {
+            domain.read_lock();
+            // Touch a published object inside the section, as an RCU
+            // consumer would; the model tracks our snapshot.
+            void* p = slots[(id * 37 + k) % kSlots].load(
+                std::memory_order_acquire);
+            if (p != nullptr) {
+                volatile auto* bytes = static_cast<unsigned char*>(p);
+                (void)bytes[0];
+            }
+            domain.read_unlock();
+            if (model.has_violations())
+                break;
+        }
+        Injector::unbind_thread();
+    };
+
+    std::vector<std::thread> threads;
+    for (unsigned i = 0; i < opt.updaters; ++i)
+        threads.emplace_back(updater, i);
+    for (unsigned i = 0; i < opt.readers; ++i)
+        threads.emplace_back(reader, static_cast<unsigned>(opt.updaters) + i);
+    for (auto& th : threads)
+        th.join();
+
+    // Retire the survivors through the deferral path, then quiesce
+    // with the session (and the model) still on, so every identity
+    // must hold exactly.
+    for (auto& slot : slots) {
+        if (void* p = slot.exchange(nullptr, std::memory_order_acq_rel))
+            alloc->kfree_deferred(p);
+    }
+    alloc->quiesce();
+
+    result.failures = quiesce_failures(*alloc, slub);
+
+    const auto reports = settled_reports(seed);
+    perturb::ModelChecker::install(nullptr);
+    perturb::set_bug(perturb::BugId::kNone);
+    result.violations = model.violations();
+    if (fault_report(reports, seed, false) != 0)
+        result.failures.push_back(
+            "fault decision sequence diverged from offline replay");
+    return result;
+}
+
+/// One quiet run of either mode (sweeps, replays and shrinking).
+RunResult
+run_once(const Options& opt, std::uint64_t seed, std::uint32_t sites)
+{
+    return opt.schedule ? run_schedule(opt, seed, sites)
+                        : run_torture(opt, seed, sites, false);
 }
 
 // ---------------------------------------------------------------------
@@ -1383,7 +1460,7 @@ shrink_failure(const Options& opt, std::uint64_t seed, std::uint32_t sites)
 {
     return perturb::shrink_mask(sites, [&](std::uint32_t candidate) {
         for (int attempt = 0; attempt < 2; ++attempt) {
-            if (run_torture(opt, seed, candidate, false).failed()) {
+            if (run_once(opt, seed, candidate).failed()) {
                 std::printf("  shrink: still fails with {%s}\n",
                             perturb::mask_names(candidate).c_str());
                 return true;
@@ -1452,7 +1529,7 @@ sweep(const Options& opt, std::uint64_t* failing_seed, RunResult* failing)
 {
     for (std::uint64_t i = 0; i < opt.seeds; ++i) {
         const std::uint64_t seed = opt.seed_base + i;
-        RunResult r = run_torture(opt, seed, opt.sites, false);
+        RunResult r = run_once(opt, seed, opt.sites);
         if (r.failed()) {
             std::printf("seed %" PRIu64 ": FAIL\n", seed);
             *failing_seed = seed;
@@ -1472,7 +1549,7 @@ sweep(const Options& opt, std::uint64_t* failing_seed, RunResult* failing)
 std::uint64_t
 convict(const Options& opt, int step, RunResult& r)
 {
-    std::printf("[%d/6] sweeping up to %" PRIu64 " seeds with --bug=%s\n",
+    std::printf("[%d/7] sweeping up to %" PRIu64 " seeds with --bug=%s\n",
                 step, opt.seeds, perturb::bug_name(opt.bug));
     std::uint64_t seed = 0;
     if (!sweep(opt, &seed, &r)) {
@@ -1482,8 +1559,8 @@ convict(const Options& opt, int step, RunResult& r)
         return 0;
     }
     print_failure(opt, seed, r);
-    std::printf("[%d/6] replaying seed %" PRIu64 "\n", step + 1, seed);
-    RunResult replay = run_torture(opt, seed, opt.sites, false);
+    std::printf("[%d/7] replaying seed %" PRIu64 "\n", step + 1, seed);
+    RunResult replay = run_once(opt, seed, opt.sites);
     if (!replay.failed()) {
         std::printf("FAIL: seed %" PRIu64 " did not reproduce on replay\n",
                     seed);
@@ -1494,11 +1571,22 @@ convict(const Options& opt, int step, RunResult& r)
     return seed;
 }
 
+/// How many seeds of the sweep budget fail with @p sites armed.
+std::uint64_t
+failing_seeds(const Options& opt, std::uint32_t sites)
+{
+    std::uint64_t n = 0;
+    for (std::uint64_t i = 0; i < opt.seeds; ++i)
+        n += run_once(opt, opt.seed_base + i, sites).failed() ? 1 : 0;
+    return n;
+}
+
 /**
  * Prove the schedule sweep works: convict the stale-spill-tag bug,
- * replay and shrink its seed, pass a clean sweep with the bug
- * disarmed, then convict the unprotected-depot-pop bug on the
- * lock-free leg (the only leg with a depot).
+ * replay and shrink its seed, show that the perturbation is what
+ * convicts it, pass a clean sweep with the bug disarmed, then convict
+ * the unprotected-depot-pop bug on the lock-free leg (the only leg
+ * with a depot).
  */
 int
 self_test(const Options& opt)
@@ -1512,16 +1600,33 @@ self_test(const Options& opt)
         return 1;
     std::uint32_t shrunk = stale.sites;
     if (opt.shrink) {
-        std::printf("[3/6] shrinking the site set\n");
+        std::printf("[3/7] shrinking the site set\n");
         shrunk = shrink_failure(stale, seed, stale.sites);
         std::printf("  minimal sites: {%s}\n",
                     perturb::mask_names(shrunk).c_str());
     } else {
-        std::printf("[3/6] shrink skipped (--no-shrink)\n");
+        std::printf("[3/7] shrink skipped (--no-shrink)\n");
     }
     write_failure_report(stale, seed, shrunk, r);
 
-    std::printf("[4/6] sweeping %" PRIu64 " seeds with the bug disarmed\n",
+    // The bug also surfaces unperturbed, when a background grace
+    // period happens to land inside a batch: one conviction alone
+    // would not tell a working schedule from one that perturbs
+    // nothing, so the schedule must convict on most seeds. The
+    // unperturbed count is shown for contrast but not gated: on a
+    // heavily loaded machine preemption alone can convict every seed.
+    std::printf("[4/7] counting convictions with and without "
+                "perturbation\n");
+    const std::uint64_t perturbed = failing_seeds(stale, stale.sites);
+    std::printf("  %" PRIu64 "/%" PRIu64 " seeds fail perturbed, %" PRIu64
+                " with no site armed\n",
+                perturbed, opt.seeds, failing_seeds(stale, 0));
+    if (2 * perturbed <= opt.seeds) {
+        std::printf("FAIL: the schedule convicts on too few seeds\n");
+        return 1;
+    }
+
+    std::printf("[5/7] sweeping %" PRIu64 " seeds with the bug disarmed\n",
                 opt.seeds);
     Options clean = opt;
     clean.bug = perturb::BugId::kNone;
@@ -1538,7 +1643,7 @@ self_test(const Options& opt)
     Options depot = opt;
     depot.bug = perturb::BugId::kUnprotectedDepotPop;
     depot.lockfree_pcpu = 1;
-    const std::uint64_t depot_seed = convict(depot, 5, r);
+    const std::uint64_t depot_seed = convict(depot, 6, r);
     if (depot_seed == 0)
         return 1;
     std::printf("self-test PASS (bugs found at seeds %" PRIu64
@@ -1586,7 +1691,8 @@ main(int argc, char** argv)
     }
 
     const std::uint64_t seed = opt.schedule ? opt.seed : opt.fault_seed;
-    RunResult r = run_torture(opt, seed, opt.sites, !opt.schedule);
+    RunResult r = opt.schedule ? run_schedule(opt, seed, opt.sites)
+                               : run_torture(opt, seed, opt.sites, true);
     if (!r.failed()) {
         if (opt.schedule)
             std::printf("seed %" PRIu64 ": PASS\n", seed);
