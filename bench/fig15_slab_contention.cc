@@ -70,8 +70,6 @@ run_churn(unsigned threads, std::size_t ops, std::size_t magazines,
     cfg.cpus = threads;
     cfg.magazine_capacity = magazines;
     cfg.lockfree_pcpu = lockfree;
-    cfg.depot_blocks = prudence_bench::size_env("PRUDENCE_DEPOT_BLOCKS",
-                                                cfg.depot_blocks);
     PrudenceAllocator alloc(rcu, cfg);
     CacheId cache = alloc.create_cache("fig15.obj", 128);
 

@@ -1152,9 +1152,9 @@ PrudenceAllocator::magazine_spill_defers(Cache& c, ThreadMagazines& t,
     // unchecked it absorbs the entire block budget, starving
     // acquire_empty() for the flush/refill circulation that keeps the
     // hot path lock-free (the wholesale full<->deferred oscillation).
-    // Deferred blocks may hold at most HALF the budget; overflow
-    // batches ride the latent ring instead (one lock per batch,
-    // amortized over kDeferBatch members).
+    // Deferred blocks may hold at most HALF the budget, which
+    // kDepotBlockBudget sizes for the steady-state backlog; overflow
+    // batches ride the latent ring instead (one lock per batch).
     if (depot_enabled(c) && n <= kMaxMagazineCapacity &&
         c.depot->deferred_blocks() * 2 < c.depot->block_budget()) {
         if (DepotMagazine* blk = c.depot->acquire_empty()) {
@@ -1345,43 +1345,15 @@ PrudenceAllocator::depot_pop_reusable(Cache& c, ThreadMagazines& t,
         return blk;
     }
 
-    // Deferred-block harvest. The stack is LIFO — the NEWEST (least
-    // likely safe) block sits on top — so scan a small bounded batch
-    // rather than giving up at the first open grace period.
-    DepotMagazine* unsafe_blocks[4];
-    std::size_t n_unsafe = 0;
-    DepotMagazine* found = nullptr;
-    GpEpoch completed = refresh_completed(t);
-    while (n_unsafe < 4) {
-        DepotMagazine* blk = d.pop_deferred();
-        if (blk == nullptr)
-            break;
-        // Between reading the block's tag and claiming its members:
-        // `completed` was read before this window, so it can only be
-        // stale-small — the check below stays conservative.
-        PRUDENCE_PERTURB_POINT(kDepotHarvest);
-        bool safe = blk->epoch <= completed;
-        // Deliberate bug kUnprotectedDepotPop: treat every deferred
-        // block as reusable. Members still inside their grace period
-        // reach allocators — the reuse-before-grace-period violation
-        // the model's reuse check exists to catch. See BugId.
-        PRUDENCE_MODEL_STMT(
-            if (perturb::bug_enabled(perturb::BugId::kUnprotectedDepotPop))
-                safe = true);
-        if (safe) {
-            found = blk;
-            break;
-        }
-        unsafe_blocks[n_unsafe++] = blk;
-    }
-    for (std::size_t i = 0; i < n_unsafe; ++i)
-        d.push_deferred(unsafe_blocks[i]);
+    // Deferred-block harvest: the oldest bucket whose grace period
+    // completed, by the thread's cached view (which can only be
+    // stale-small, so the check stays conservative).
+    DepotMagazine* found = d.pop_ripe(refresh_completed(t));
     if (found == nullptr) {
-        // Miss attribution (DESIGN.md §14): a miss with unsafe
-        // deferred blocks in view means stock EXISTS but its grace
-        // periods are still open (gp_pending); with none in view the
-        // depot is simply cold.
-        if (n_unsafe > 0)
+        // Miss attribution (DESIGN.md §14): deferred blocks in the
+        // depot mean stock EXISTS but its grace periods are still
+        // open (gp_pending); with none the depot is simply cold.
+        if (d.deferred_blocks() > 0)
             stats.depot_miss_gp_pending.add();
         else
             stats.depot_miss_cold.add();
@@ -1404,20 +1376,8 @@ PrudenceAllocator::depot_harvest_safe(Cache& c)
         return 0;
     MagazineDepot& d = *c.depot;
     GpEpoch completed = domain_.completed_epoch();
-    std::vector<DepotMagazine*> blocks;
-    while (DepotMagazine* blk = d.pop_deferred())
-        blocks.push_back(blk);
     std::size_t harvested = 0;
-    for (DepotMagazine* blk : blocks) {
-        PRUDENCE_PERTURB_POINT(kDepotHarvest);
-        bool safe = blk->epoch <= completed;
-        PRUDENCE_MODEL_STMT(
-            if (perturb::bug_enabled(perturb::BugId::kUnprotectedDepotPop))
-                safe = true);
-        if (!safe) {
-            d.push_deferred(blk);
-            continue;
-        }
+    while (DepotMagazine* blk = d.pop_ripe(completed)) {
         for (std::size_t i = 0; i < blk->count; ++i)
             PRUDENCE_MODEL_STMT(perturb::model_on_reuse(blk->objs[i]));
         record_depot_ages(*blk);
@@ -1487,19 +1447,31 @@ PrudenceAllocator::depot_drain(Cache& c, std::size_t keep_full_blocks)
     GpEpoch completed = domain_.completed_epoch();
     std::size_t released = depot_release_full(c, keep_full_blocks);
 
-    std::vector<DepotMagazine*> deferred;
-    while (DepotMagazine* blk = d.pop_deferred())
-        deferred.push_back(blk);
-    if (deferred.empty())
+    std::vector<DepotMagazine*> ripe;
+    while (DepotMagazine* blk = d.pop_ripe(completed))
+        ripe.push_back(blk);
+
+    // What is left waits on an open grace period (or behind one in a
+    // shared bucket): preserve the deferral (tag and stamp intact) in
+    // the members' slab latent rings.
+    LatentRing::Entry entries[kMaxMagazineCapacity];
+    while (DepotMagazine* blk = d.pop_deferred()) {
+        for (std::size_t i = 0; i < blk->count; ++i) {
+            entries[i] = LatentRing::Entry{blk->objs[i], blk->epoch,
+                                           blk->defer_ts};
+        }
+        std::size_t n = blk->count;
+        d.release_empty(blk);
+        spill_entries(c, entries, n);
+    }
+    if (ripe.empty())
         return released;
 
     NodeLists& node = c.pool.node();
     bool want_shrink = false;
     {
         std::lock_guard<SpinLock> node_guard(node.lock);
-        for (DepotMagazine* blk : deferred) {
-            if (blk->epoch > completed)
-                continue;  // handled (preserved) below
+        for (DepotMagazine* blk : ripe) {
             record_depot_ages(*blk);
             for (std::size_t i = 0; i < blk->count; ++i) {
                 PRUDENCE_MODEL_STMT(perturb::model_on_reuse(blk->objs[i]));
@@ -1515,22 +1487,8 @@ PrudenceAllocator::depot_drain(Cache& c, std::size_t keep_full_blocks)
         }
         want_shrink = node.free.size() > free_retention_limit(c);
     }
-    LatentRing::Entry entries[kMaxMagazineCapacity];
-    for (DepotMagazine* blk : deferred) {
-        if (blk->epoch <= completed) {
-            d.release_empty(blk);
-            continue;
-        }
-        // Grace period still open: preserve the deferral (tag and
-        // stamp intact) in the members' slab latent rings instead.
-        for (std::size_t i = 0; i < blk->count; ++i) {
-            entries[i] = LatentRing::Entry{blk->objs[i], blk->epoch,
-                                           blk->defer_ts};
-        }
-        std::size_t n = blk->count;
+    for (DepotMagazine* blk : ripe)
         d.release_empty(blk);
-        spill_entries(c, entries, n);
-    }
     if (want_shrink)
         shrink(c);
     return released;

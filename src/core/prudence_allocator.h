@@ -285,20 +285,19 @@ class PrudenceAllocator final : public Allocator
     std::size_t depot_budget() const
     {
         return (config_.lockfree_pcpu && config_.magazine_capacity > 0)
-                   ? config_.depot_blocks
+                   ? kDepotBlockBudget
                    : 0;
     }
-    /// Claim a reusable depot block: a shared full block, else a
-    /// deferred block whose grace period
-    /// completed (harvested: members become reusable, deferred
-    /// accounting drops). Bounded scan; unsafe deferred blocks are
-    /// re-pushed. nullptr when nothing reusable (the miss is
-    /// attributed to depot_miss_cold or depot_miss_gp_pending).
+    /// Claim a reusable depot block: a shared full block, else the
+    /// oldest deferred block whose grace period completed (harvested:
+    /// members become reusable, deferred accounting drops). nullptr
+    /// when nothing reusable (the miss is attributed to
+    /// depot_miss_cold or depot_miss_gp_pending).
     DepotMagazine* depot_pop_reusable(Cache& c, ThreadMagazines& t,
                                       CacheStats& stats);
-    /// Sweep @p c's deferred depot blocks: convert every block whose
-    /// grace period completed into a full block (maintenance + OOM
-    /// expedite). @return objects made reusable.
+    /// Sweep @p c's ripe deferred buckets: convert every block whose
+    /// grace period completed into a full block (maintenance +
+    /// trim_depot). @return objects made reusable.
     std::size_t depot_harvest_safe(Cache& c);
     /// Release full depot blocks beyond @p keep_full_blocks back to
     /// slab freelists (retention trim). @return objects released.

@@ -89,15 +89,6 @@ struct PrudenceConfig
     bool lockfree_pcpu = PRUDENCE_LOCKFREE_PCPU_DEFAULT != 0;
 
     /**
-     * Block budget per cache depot: at most this many magazine-sized
-     * blocks (kMaxMagazineCapacity object slots each) are ever
-     * created per cache; callers fall back to the locked splice when
-     * the budget is exhausted. Bounds depot memory hoarding together
-     * with the governor's trim_depot actuator.
-     */
-    std::size_t depot_blocks = 64;
-
-    /**
      * Free blocks kept per (CPU, order) in the buddy allocator's
      * per-CPU page caches (DESIGN.md §10) before a batch is returned
      * to the global free lists. Slab grow/shrink then takes the

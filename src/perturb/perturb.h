@@ -90,8 +90,8 @@ enum class SiteId : std::uint8_t {
     kLatentMerge,     ///< after reading completed_epoch, before merging
     kDepotExchange,   ///< between filling/draining a depot block and
                       ///< the CAS that exchanges custody
-    kDepotHarvest,    ///< between reading a deferred block's epoch and
-                      ///< claiming its objects for reuse
+    kDepotHarvest,    ///< MagazineDepot::pop_ripe: between popping a
+                      ///< deferred block and checking its epoch
 
     // sync/
     kSpinLockAcquire,  ///< SpinLock::lock: before the acquire attempt
@@ -422,11 +422,11 @@ enum class BugId : std::uint8_t {
     /// inside their grace period — the exact hazard DESIGN.md §9's
     /// conservative-tagging argument exists to prevent.
     kStaleSpillTag,
-    /// The depot harvest path treats a deferred magazine block as
-    /// reusable without checking that the grace period tagged on the
-    /// block has completed (epoch <= completed). Objects whose grace
-    /// period is still open are handed back to allocators — the exact
-    /// hazard the ABA-via-epochs argument in DESIGN.md §14 prevents.
+    /// MagazineDepot::pop_ripe treats every deferred magazine block
+    /// as reusable, skipping its epoch checks (bucket and block tag
+    /// <= completed). Objects whose grace period is still open are
+    /// handed back to allocators — the exact hazard the
+    /// ABA-via-epochs argument in DESIGN.md §14 prevents.
     kUnprotectedDepotPop,
 };
 

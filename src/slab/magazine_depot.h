@@ -11,13 +11,21 @@
  *   - magazine refill  → pop_full(), tip into the magazine
  *   - deferral spill   → fill a block, stamp ONE conservative
  *                        defer_epoch() read, push_deferred()
- *   - harvest          → pop_deferred(); if the stamped grace period
- *                        completed, the block becomes a full block
- *                        (or feeds slab freelists), else re-push
+ *   - harvest          → pop_ripe(completed): the oldest block whose
+ *                        stamped grace period completed becomes a
+ *                        full block (or feeds slab freelists)
  *
- * Blocks live on three LockFreeBlockStack instances (full, deferred,
- * empty). They are allocated from a mutex-guarded arena (growth is a
- * rare cold path), are TYPE-STABLE (never freed before the depot's
+ * Full and empty blocks live on one LockFreeBlockStack each. Deferred
+ * blocks live on a ring of kDeferredBuckets stacks indexed by
+ * `epoch % kDeferredBuckets`, so one bucket holds one epoch's blocks
+ * and "the oldest ripe block" is a walk over a handful of buckets in
+ * epoch order, never a scan of unripe blocks. Each bucket keeps the
+ * highest epoch ever pushed into it; a bucket whose highest epoch is
+ * still open is skipped whole. pop_ripe() re-checks the popped
+ * block's own tag, so safety never depends on the bucketing.
+ *
+ * Blocks are allocated from a mutex-guarded arena (growth is a rare
+ * cold path), are TYPE-STABLE (never freed before the depot's
  * destructor — the stack's node contract), and bounded by a block
  * budget so the depot cannot hoard unbounded memory; when the budget
  * is exhausted callers fall back to the legacy locked splice.
@@ -28,14 +36,16 @@
  * push (release CAS) / pop (acquire CAS) carries the happens-before
  * edge, so no payload field needs to be atomic.
  *
- * Object-count gauges (`full_objects`, `deferred_objects`) are
- * maintained with relaxed atomics around each custody transfer; they
- * are exact at quiescence and monitoring hints under concurrency,
- * which is what validate() and the telemetry probes need.
+ * Occupancy gauges (`full_objects`, `deferred_objects`,
+ * `deferred_blocks`) are maintained with relaxed atomics around each
+ * custody transfer; they are exact at quiescence and monitoring hints
+ * under concurrency, which is what validate() and the telemetry
+ * probes need.
  */
 #ifndef PRUDENCE_SLAB_MAGAZINE_DEPOT_H
 #define PRUDENCE_SLAB_MAGAZINE_DEPOT_H
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -44,8 +54,10 @@
 #include <type_traits>
 #include <vector>
 
+#include "perturb/perturb.h"
 #include "rcu/grace_period.h"
 #include "slab/magazine.h"
+#include "sync/cacheline.h"
 #include "sync/lockfree_stack.h"
 
 namespace prudence {
@@ -71,11 +83,30 @@ struct DepotMagazine {
 };
 
 /**
- * Per-cache magazine depot: three lock-free stacks of DepotMagazine
- * blocks plus a budgeted type-stable arena.
+ * Blocks each cache's depot may create. Deferred blocks hold at most
+ * half of them (the occupancy cap in magazine_spill_defers), and that
+ * half is sized for the steady-state deferral backlog, update rate ×
+ * grace-period latency: 128 blocks of 32 objects hold 4,096 against
+ * about 3,000 in flight on prudbench's defer_storm. Deferrals then
+ * reach the locked latent ring only past the backlog a grace period
+ * normally covers.
+ */
+inline constexpr std::size_t kDepotBlockBudget = 256;
+
+/**
+ * Per-cache magazine depot: lock-free stacks of full and empty
+ * DepotMagazine blocks, a ring of per-epoch deferred buckets, and a
+ * budgeted type-stable arena.
  */
 class MagazineDepot {
 public:
+    /// Deferred buckets: a block tagged `epoch` waits in bucket
+    /// `epoch % kDeferredBuckets`. Eight covers the epochs a grace
+    /// period keeps open (RcuDomain advances two per grace period and
+    /// tags at most four ahead of the completed one) plus as many ripe
+    /// ones, so a ripe bucket rarely shares a residue with an open one.
+    static constexpr std::size_t kDeferredBuckets = 8;
+
     /// @p block_budget caps how many blocks this depot ever creates;
     /// 0 disables the depot (every acquire_empty() fails).
     explicit MagazineDepot(std::size_t block_budget)
@@ -136,26 +167,79 @@ public:
         return block;
     }
 
-    /// Publish a filled, epoch-stamped block of deferred objects.
+    /// Publish a filled, epoch-stamped block of deferred objects into
+    /// its epoch's bucket.
     void push_deferred(DepotMagazine* block)
     {
-        deferred_objects_.fetch_add(block->count,
-                                    std::memory_order_relaxed);
-        deferred_.push(&block->hook);
+        const std::size_t b = block->epoch % kDeferredBuckets;
+        GpEpoch top = max_epoch_[b].load(std::memory_order_relaxed);
+        while (top < block->epoch &&
+               !max_epoch_[b].compare_exchange_weak(
+                   top, block->epoch, std::memory_order_relaxed)) {
+        }
+        deferred_tally_.fetch_add(tally(block->count),
+                                  std::memory_order_relaxed);
+        buckets_[b].blocks.push(&block->hook);
     }
 
-    /// Claim a deferred block (exclusive ownership), or nullptr. The
-    /// caller must check `epoch` against the completed epoch before
-    /// reusing members, and re-push when the grace period is open.
+    /**
+     * Claim the oldest deferred block whose grace period completed by
+     * @p completed (exclusive ownership; its members are reusable), or
+     * nullptr when no bucket holds a ripe block. Buckets are visited
+     * in epoch order over the last kDeferredBuckets epochs; one whose
+     * highest epoch is still open is skipped whole, so a ripe block
+     * that shares it with an open one waits for that one to ripen.
+     */
+    DepotMagazine* pop_ripe(GpEpoch completed)
+    {
+        // Deliberate bug kUnprotectedDepotPop: skip the epoch checks
+        // and hand out any deferred block. Members still inside their
+        // grace period reach allocators — the reuse-before-grace-
+        // period violation the model's reuse check exists to catch.
+        // See BugId.
+        bool unprotected = false;
+        PRUDENCE_MODEL_STMT(unprotected = perturb::bug_enabled(
+                                perturb::BugId::kUnprotectedDepotPop));
+        for (std::size_t i = 1; i <= kDeferredBuckets; ++i) {
+            const std::size_t b = (completed + i) % kDeferredBuckets;
+            if (!unprotected &&
+                max_epoch_[b].load(std::memory_order_relaxed) > completed)
+                continue;
+            auto* h = buckets_[b].blocks.pop();
+            if (h == nullptr)
+                continue;
+            DepotMagazine* block = from_hook(h);
+            // Between claiming the block and checking its tag:
+            // `completed` was read before this window, so it can only
+            // be stale-small — the check below stays conservative.
+            PRUDENCE_PERTURB_POINT(kDepotHarvest);
+            if (!unprotected && block->epoch > completed) {
+                // A concurrent push raised the bucket past `completed`
+                // after the check above.
+                buckets_[b].blocks.push(h);
+                continue;
+            }
+            deferred_tally_.fetch_sub(tally(block->count),
+                                      std::memory_order_relaxed);
+            return block;
+        }
+        return nullptr;
+    }
+
+    /// Claim any deferred block, ripe or not (exclusive ownership), or
+    /// nullptr when none is left. The drain path: the caller must
+    /// preserve the block's epoch for its members.
     DepotMagazine* pop_deferred()
     {
-        auto* h = deferred_.pop();
-        if (h == nullptr)
-            return nullptr;
-        DepotMagazine* block = from_hook(h);
-        deferred_objects_.fetch_sub(block->count,
-                                    std::memory_order_relaxed);
-        return block;
+        for (Bucket& b : buckets_) {
+            if (auto* h = b.blocks.pop()) {
+                DepotMagazine* block = from_hook(h);
+                deferred_tally_.fetch_sub(tally(block->count),
+                                          std::memory_order_relaxed);
+                return block;
+            }
+        }
+        return nullptr;
     }
 
     // -- monitoring (exact at quiescence; hints under concurrency) --
@@ -167,10 +251,18 @@ public:
 
     std::size_t deferred_objects() const
     {
-        return deferred_objects_.load(std::memory_order_relaxed);
+        return static_cast<std::size_t>(
+            deferred_tally_.load(std::memory_order_relaxed) &
+            kTallyObjectMask);
     }
 
-    std::size_t deferred_blocks() const { return deferred_.count(); }
+    std::size_t deferred_blocks() const
+    {
+        return static_cast<std::size_t>(
+            deferred_tally_.load(std::memory_order_relaxed) >>
+            kTallyBlockShift);
+    }
+
     std::size_t empty_blocks() const { return empty_.count(); }
 
     std::size_t blocks_created() const
@@ -181,6 +273,24 @@ public:
     std::size_t block_budget() const { return block_budget_; }
 
 private:
+    /// One epoch residue's deferred blocks, on its own cache line: the
+    /// bucket being filled and the bucket being harvested are
+    /// different buckets, so spillers and refills do not share a line.
+    struct alignas(kCacheLineSize) Bucket {
+        LockFreeBlockStack blocks;
+    };
+
+    /// The deferred tally packs blocks (high half) and objects (low
+    /// half) into one word, so one relaxed RMW moves both.
+    static constexpr unsigned kTallyBlockShift = 32;
+    static constexpr std::uint64_t kTallyObjectMask =
+        (std::uint64_t{1} << kTallyBlockShift) - 1;
+
+    static std::uint64_t tally(std::size_t count)
+    {
+        return (std::uint64_t{1} << kTallyBlockShift) | count;
+    }
+
     static DepotMagazine* from_hook(LockFreeBlockStack::Hook* h)
     {
         // hook is the first member; offsetof on a type with
@@ -194,11 +304,17 @@ private:
     const std::size_t block_budget_;
 
     LockFreeBlockStack full_;
-    LockFreeBlockStack deferred_;
     LockFreeBlockStack empty_;
+    std::array<Bucket, kDeferredBuckets> buckets_;
+    /// Highest epoch ever pushed into each bucket; never lowered, so
+    /// every block in a bucket is ripe once its entry is <= completed.
+    /// Raised once per epoch, so the line stays read-mostly and a
+    /// ripe pop reads it without touching the open buckets' heads.
+    alignas(kCacheLineSize)
+        std::array<std::atomic<GpEpoch>, kDeferredBuckets> max_epoch_{};
 
     std::atomic<std::size_t> full_objects_{0};
-    std::atomic<std::size_t> deferred_objects_{0};
+    std::atomic<std::uint64_t> deferred_tally_{0};
     std::atomic<std::size_t> blocks_created_{0};
 
     std::mutex arena_mutex_;

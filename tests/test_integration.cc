@@ -14,6 +14,7 @@
 
 #include "api/allocator_factory.h"
 #include "ds/rcu_list.h"
+#include "perturb/perturb.h"
 #include "rcu/rcu_domain.h"
 #include "stats/memory_sampler.h"
 
@@ -59,7 +60,17 @@ TEST(Integration, EnduranceContrastSlubOomsPrudenceDoesNot)
         cfg.callback.batch_limit = 10;
         cfg.callback.tick = std::chrono::microseconds{1000};
         auto alloc = make_slub_allocator(rcu, cfg);
+        // Stall every drainer tick for the drive, so the arena runs
+        // out however slowly the updater runs (a sanitizer build can
+        // slow it until the throttled drainer keeps up); quiesce
+        // then drains the backlog inline.
+        perturb::Injector& injector = perturb::Injector::instance();
+        injector.reset(1);
+        perturb::Policy stall;
+        stall.every_nth = 1;
+        injector.arm(perturb::SiteId::kDrainerStall, stall);
         slub_failures = drive(*alloc, rcu);
+        injector.reset(0);
         alloc->quiesce();
     }
 

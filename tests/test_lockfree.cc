@@ -221,6 +221,124 @@ TEST(LockFreeRing, MpmcTokensTransferExactlyOnce)
 }
 
 // ---------------------------------------------------------------------
+// MagazineDepot: the per-epoch deferred buckets.
+// ---------------------------------------------------------------------
+
+/// Fill an empty block of @p depot with @p count dummy objects tagged
+/// @p epoch and publish it as deferred.
+DepotMagazine*
+push_tagged(MagazineDepot& depot, GpEpoch epoch, std::size_t count = 1)
+{
+    DepotMagazine* blk = depot.acquire_empty();
+    EXPECT_NE(blk, nullptr);
+    if (blk == nullptr)
+        return nullptr;
+    static int dummy;
+    for (std::size_t i = 0; i < count; ++i)
+        blk->objs[i] = &dummy;
+    blk->count = count;
+    blk->epoch = epoch;
+    depot.push_deferred(blk);
+    return blk;
+}
+
+TEST(DepotBuckets, RipeBlocksComeOutOldestFirst)
+{
+    MagazineDepot depot(16);
+    for (GpEpoch e : {14, 11, 13, 10, 12, 15, 11})
+        push_tagged(depot, e);
+
+    // Epochs 10..13 have completed: they come out in epoch order, and
+    // the open 14 and 15 stay behind.
+    std::vector<GpEpoch> order;
+    while (DepotMagazine* blk = depot.pop_ripe(13)) {
+        order.push_back(blk->epoch);
+        depot.release_empty(blk);
+    }
+    EXPECT_EQ(order, (std::vector<GpEpoch>{10, 11, 11, 12, 13}));
+    EXPECT_EQ(depot.deferred_blocks(), 2u);
+
+    for (GpEpoch want : {14, 15}) {
+        DepotMagazine* blk = depot.pop_ripe(15);
+        ASSERT_NE(blk, nullptr);
+        EXPECT_EQ(blk->epoch, want);
+        depot.release_empty(blk);
+    }
+    EXPECT_EQ(depot.pop_ripe(15), nullptr);
+}
+
+TEST(DepotBuckets, BlockAWholeRingAheadIsNeverReturnedEarly)
+{
+    constexpr GpEpoch kRing = MagazineDepot::kDeferredBuckets;
+    // Both orders of a ripe block and an open one that share its
+    // residue: nothing comes out before the open one's epoch.
+    for (bool open_on_top : {true, false}) {
+        MagazineDepot depot(4);
+        constexpr GpEpoch kRipe = 20;
+        if (open_on_top) {
+            push_tagged(depot, kRipe);
+            push_tagged(depot, kRipe + kRing);
+        } else {
+            push_tagged(depot, kRipe + kRing);
+            push_tagged(depot, kRipe);
+        }
+        for (GpEpoch completed = kRipe; completed < kRipe + kRing;
+             ++completed) {
+            DepotMagazine* blk = depot.pop_ripe(completed);
+            if (blk != nullptr) {
+                EXPECT_LE(blk->epoch, completed)
+                        << "block tagged " << blk->epoch
+                        << " returned at completed " << completed;
+                depot.release_empty(blk);
+            }
+        }
+        std::size_t left = depot.deferred_blocks();
+        for (; left > 0; --left) {
+            DepotMagazine* blk = depot.pop_ripe(kRipe + kRing);
+            ASSERT_NE(blk, nullptr) << "ripe block stranded";
+            depot.release_empty(blk);
+        }
+        EXPECT_EQ(depot.deferred_blocks(), 0u);
+    }
+}
+
+TEST(DepotBuckets, DeferredGaugesExactAtQuiescence)
+{
+    MagazineDepot depot(32);
+    std::size_t objects = 0;
+    for (GpEpoch e = 1; e <= 20; ++e) {
+        std::size_t count = 1 + e % 7;
+        push_tagged(depot, e, count);
+        objects += count;
+    }
+    EXPECT_EQ(depot.deferred_blocks(), 20u);
+    EXPECT_EQ(depot.deferred_objects(), objects);
+
+    // Ripe pops and the drain path's any-block pops both move the
+    // gauges by exactly what they took. At 16 the buckets that also
+    // hold 17..20 are still open, so both loops have work.
+    std::size_t blocks = 20;
+    while (DepotMagazine* blk = depot.pop_ripe(16)) {
+        --blocks;
+        objects -= blk->count;
+        EXPECT_EQ(depot.deferred_blocks(), blocks);
+        EXPECT_EQ(depot.deferred_objects(), objects);
+        depot.release_empty(blk);
+    }
+    EXPECT_LT(blocks, 20u);
+    while (DepotMagazine* blk = depot.pop_deferred()) {
+        --blocks;
+        objects -= blk->count;
+        EXPECT_EQ(depot.deferred_blocks(), blocks);
+        EXPECT_EQ(depot.deferred_objects(), objects);
+        depot.release_empty(blk);
+    }
+    EXPECT_EQ(depot.deferred_blocks(), 0u);
+    EXPECT_EQ(depot.deferred_objects(), 0u);
+    EXPECT_EQ(depot.empty_blocks(), 20u);
+}
+
+// ---------------------------------------------------------------------
 // Depot wired into the allocator.
 // ---------------------------------------------------------------------
 
@@ -578,6 +696,83 @@ TEST(Depot, RipeBlockPathsNeverReuseOpenGracePeriodBlock)
     perturb::ModelChecker::install(nullptr);
     EXPECT_TRUE(model.violations().empty())
             << "model checker flagged a ripe-block path";
+}
+
+TEST(Depot, OverflowPastTheBudgetWaitsInTheLatentStore)
+{
+    // With no grace period completing, deferrals fill the deferred
+    // half of the depot's block budget; the rest must take the locked
+    // latent path (per-CPU ring, then latent slabs). Wherever an
+    // object waits, it must not come back before its grace period.
+    ManualRcuDomain domain;
+    perturb::ModelChecker model;
+    model.set_completed_provider(
+            [&domain] { return domain.completed_epoch(); });
+    perturb::ModelChecker::install(&model);
+    perturb::Injector& sched = perturb::Injector::instance();
+    sched.reset(1);
+    sched.start(/*site_mask=*/0, /*base_delay_ns=*/0);
+    {
+        constexpr std::size_t kMagazine = 8;
+        constexpr std::size_t kDepotCap =
+                kDepotBlockBudget / 2 * kMagazine;
+        constexpr std::size_t kDeferred = 2 * kDepotCap;
+        PrudenceAllocator alloc(domain, lockfree_config(true, kMagazine));
+        CacheId id = alloc.create_cache("overflow", 64);
+
+        std::set<void*> deferred;
+        std::vector<void*> batch;
+        for (std::size_t i = 0; i < kDeferred; ++i) {
+            void* p = alloc.cache_alloc(id);
+            ASSERT_NE(p, nullptr);
+            batch.push_back(p);
+        }
+        std::uint64_t locks = total_lock_acquisitions(alloc);
+        for (void* p : batch) {
+            deferred.insert(p);
+            alloc.cache_free_deferred(id, p);
+        }
+        alloc.drain_thread();
+        EXPECT_EQ(alloc.depot_deferred_objects(), kDepotCap)
+                << "deferred blocks did not fill half the budget";
+        CacheStatsSnapshot s = alloc.cache_snapshot(id);
+        EXPECT_EQ(s.deferred_outstanding,
+                  static_cast<std::int64_t>(kDeferred));
+        EXPECT_GT(total_lock_acquisitions(alloc), locks)
+                << "overflow never took the locked latent path";
+        // validate() checks deferred == latent + rings + depot, so the
+        // overflow is accounted in the latent store.
+        EXPECT_EQ(alloc.validate(), "");
+
+        // Grace period open: allocation pressure reuses nothing.
+        std::vector<void*> fresh;
+        for (std::size_t i = 0; i < kDeferred; ++i) {
+            void* q = alloc.cache_alloc(id);
+            ASSERT_NE(q, nullptr);
+            EXPECT_EQ(deferred.count(q), 0u)
+                    << "deferred object reused inside its grace period";
+            fresh.push_back(q);
+        }
+        for (void* q : fresh)
+            alloc.cache_free(id, q);
+        alloc.maintenance_pass();
+        EXPECT_EQ(alloc.cache_snapshot(id).deferred_outstanding,
+                  static_cast<std::int64_t>(kDeferred));
+
+        // Grace period closed: both stores give their objects back.
+        domain.advance();
+        domain.advance();
+        alloc.quiesce();
+        EXPECT_EQ(alloc.validate(), "");
+        s = alloc.cache_snapshot(id);
+        EXPECT_EQ(s.live_objects, 0);
+        EXPECT_EQ(s.deferred_outstanding, 0);
+        EXPECT_EQ(alloc.depot_deferred_objects(), 0u);
+    }
+    sched.stop();
+    perturb::ModelChecker::install(nullptr);
+    EXPECT_TRUE(model.violations().empty())
+            << "model checker flagged reuse of an overflowed deferral";
 }
 
 TEST(Depot, TrimDepotReleasesRetainedFullBlocks)

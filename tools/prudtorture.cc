@@ -1544,13 +1544,14 @@ sweep(const Options& opt, std::uint64_t* failing_seed, RunResult* failing)
 }
 
 /// Convict the armed bug within the seed budget, then replay the
-/// seed. @return the failing seed (and its run in @p r), or 0 when
-/// either step fails.
+/// seed; @p what names the evidence the step gives. @return the
+/// failing seed (and its run in @p r), or 0 when either step fails.
 std::uint64_t
-convict(const Options& opt, int step, RunResult& r)
+convict(const Options& opt, int step, const char* what, RunResult& r)
 {
-    std::printf("[%d/7] sweeping up to %" PRIu64 " seeds with --bug=%s\n",
-                step, opt.seeds, perturb::bug_name(opt.bug));
+    std::printf("[%d/7] %s: sweeping up to %" PRIu64
+                " seeds with --bug=%s\n",
+                step, what, opt.seeds, perturb::bug_name(opt.bug));
     std::uint64_t seed = 0;
     if (!sweep(opt, &seed, &r)) {
         std::printf("FAIL: deliberate bug not found within %" PRIu64
@@ -1586,7 +1587,8 @@ failing_seeds(const Options& opt, std::uint32_t sites)
  * replay and shrink its seed, show that the perturbation is what
  * convicts it, pass a clean sweep with the bug disarmed, then convict
  * the unprotected-depot-pop bug on the lock-free leg (the only leg
- * with a depot).
+ * with a depot) — a model check, since that bug needs no
+ * perturbation.
  */
 int
 self_test(const Options& opt)
@@ -1595,7 +1597,7 @@ self_test(const Options& opt)
     Options stale = opt;
     stale.bug = perturb::BugId::kStaleSpillTag;
     RunResult r;
-    const std::uint64_t seed = convict(stale, 1, r);
+    const std::uint64_t seed = convict(stale, 1, "schedule check", r);
     if (seed == 0)
         return 1;
     std::uint32_t shrunk = stale.sites;
@@ -1640,10 +1642,14 @@ self_test(const Options& opt)
         return 1;
     }
 
+    // A model check, not evidence for the schedule policy: the
+    // unprotected pop hands out open-grace-period blocks on every
+    // seed with no site armed too, so this step proves the reference
+    // model and the depot's ripe-pop detour.
     Options depot = opt;
     depot.bug = perturb::BugId::kUnprotectedDepotPop;
     depot.lockfree_pcpu = 1;
-    const std::uint64_t depot_seed = convict(depot, 6, r);
+    const std::uint64_t depot_seed = convict(depot, 6, "model check", r);
     if (depot_seed == 0)
         return 1;
     std::printf("self-test PASS (bugs found at seeds %" PRIu64
