@@ -10,6 +10,11 @@
 # references the gate object perturb::detail::g_injector at all, which
 # is what a renamed gate would look like.
 #
+# The same pass guards the warm magazine hand-off (DESIGN.md §9), which
+# no unit test can see: it fails when PrudenceAllocator::alloc_impl in
+# libprudence_core.a or SlubAllocator::alloc_impl in libprudence_slub.a
+# holds no prefetch instruction (x86 prefetch*, AArch64 prfm).
+#
 # Usage: scripts/check_idle_gates.sh [build-dir]
 #   build-dir  an optimised build tree (default: build); build it first
 set -eu
@@ -45,6 +50,28 @@ for lib in $libs; do
     refs=$((refs + n))
 done
 
+# Prefetches in CLASS::alloc_impl (matched by its mangled name), the
+# fast path that ObjectCache::pop is inlined into.
+prefetches() {  # LIB CLASS
+    objdump -d --no-show-raw-insn "$BUILD_DIR/src/$1" |
+        awk -v fn="${#2}$2"10alloc_impl '
+        / <[^>]*>:$/ { inside = index($2, fn) > 0; next }
+        inside && /\t(prefetch|prfm)/ { n++ }
+        END { print n + 0 }'
+}
+hands=""
+for pair in core/libprudence_core.a:PrudenceAllocator \
+            slub/libprudence_slub.a:SlubAllocator; do
+    lib=${pair%%:*} cls=${pair#*:}
+    n=$(prefetches "$lib" "$cls")
+    if [ "$n" -eq 0 ]; then
+        echo "check_idle_gates: $cls::alloc_impl in $lib has no" \
+            "prefetch; the warm magazine hand-off is gone" >&2
+        status=1
+    fi
+    hands="$hands $n"
+done
+
 if [ "$refs" -eq 0 ]; then
     echo "check_idle_gates: no library references $GATE;" \
         "the gate or this check's pattern is stale" >&2
@@ -52,6 +79,7 @@ if [ "$refs" -eq 0 ]; then
 fi
 if [ "$status" -eq 0 ]; then
     echo "check_idle_gates: ok ($(echo "$libs" | wc -l) libraries," \
-        "$refs inline gate loads, no out-of-line gate calls)"
+        "$refs inline gate loads, no out-of-line gate calls," \
+        "alloc_impl prefetches:$hands)"
 fi
 exit "$status"

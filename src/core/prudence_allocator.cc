@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <initializer_list>
+#include <mutex>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -515,11 +516,18 @@ PrudenceAllocator::refill(Cache& c, PerCpu& pc, GpEpoch completed)
     NodeLists& node = c.pool.node();
     std::size_t moved = 0;
     {
-        std::lock_guard<SpinLock> node_guard(node.lock);
+        std::unique_lock<SpinLock> node_guard(node.lock);
         while (moved < want) {
             SlabHeader* slab = select_slab(c, completed);
             if (slab == nullptr) {
+                // Grow with the node lock dropped, as Linux's
+                // allocate_slab does: the page allocation, init_slab's
+                // walk and the first-touch faults stay out of the
+                // section other refills spin on. The fresh slab is on
+                // no list (invisible to validate()) until linked here.
+                node_guard.unlock();
                 slab = c.pool.grow();
+                node_guard.lock();
                 if (slab == nullptr)
                     break;
                 node.move_to_partial_front(slab);

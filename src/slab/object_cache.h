@@ -28,13 +28,24 @@ class ObjectCache
     bool empty() const { return count_ == 0; }
     bool full() const { return count_ == capacity_; }
 
-    /// Pop the most recently cached object; nullptr when empty.
+    /**
+     * Pop the most recently cached object; nullptr when empty.
+     *
+     * Warm hand-off (DESIGN.md §9): the object the *next* pop returns
+     * is prefetched with write intent. A reused object's line has
+     * usually gone cold during its grace period; the caller writes
+     * into the returned object at once, too soon for a prefetch of it
+     * to help, but the next one has a whole request to arrive.
+     */
     void*
     pop()
     {
         if (count_ == 0)
             return nullptr;
-        return slots_[--count_];
+        void* obj = slots_[--count_];
+        if (count_ != 0)
+            __builtin_prefetch(slots_[count_ - 1], 1, 3);
+        return obj;
     }
 
     /// Push a free object; caller must ensure !full().

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <mutex>
 #include <stdexcept>
 
 #include "perturb/perturb.h"
@@ -303,16 +304,20 @@ SlubAllocator::refill(Cache& c, ObjectCache& cache)
     std::size_t want = c.pool.geometry().refill_target;
     std::size_t moved = 0;
 
-    std::lock_guard<SpinLock> node_guard(node.lock);
+    std::unique_lock<SpinLock> node_guard(node.lock);
     while (moved < want) {
         SlabHeader* slab = node.partial.front();
         if (slab == nullptr)
             slab = node.free.front();
         if (slab == nullptr) {
-            // Grow the slab cache. Dropping the node lock for the
-            // page allocation is unnecessary here: the buddy has its
-            // own lock and this keeps the refill atomic.
+            // Grow with the node lock dropped, as Linux's
+            // allocate_slab does: the page allocation, init_slab's
+            // walk and the first-touch faults stay out of the section
+            // other refills spin on. The fresh slab is on no list
+            // (invisible to validate()) until linked here.
+            node_guard.unlock();
             slab = c.pool.grow();
+            node_guard.lock();
             if (slab == nullptr)
                 break;
             node.move_to(slab, SlabListKind::kPartial);
@@ -418,13 +423,16 @@ SlubAllocator::refill_batch(Cache& c, void** out, std::size_t want)
     NodeLists& node = c.pool.node();
     std::size_t moved = 0;
 
-    std::lock_guard<SpinLock> node_guard(node.lock);
+    std::unique_lock<SpinLock> node_guard(node.lock);
     while (moved < want) {
         SlabHeader* slab = node.partial.front();
         if (slab == nullptr)
             slab = node.free.front();
         if (slab == nullptr) {
+            // Grow unlocked, as in refill().
+            node_guard.unlock();
             slab = c.pool.grow();
+            node_guard.lock();
             if (slab == nullptr)
                 break;
             node.move_to(slab, SlabListKind::kPartial);

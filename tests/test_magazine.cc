@@ -43,6 +43,24 @@ mag_config(std::size_t capacity)
     return cfg;
 }
 
+/**
+ * Free @p objs in order, then allocate as many: the magazine is a LIFO,
+ * so they come back most recently freed first (the next-object
+ * prefetch on each pop never reorders them). Frees them again at the
+ * end; @p objs must fit in the magazine without a flush.
+ */
+template <typename Alloc>
+void
+expect_lifo_reuse(Alloc& alloc, CacheId id, const std::vector<void*>& objs)
+{
+    for (void* p : objs)
+        alloc.cache_free(id, p);
+    for (auto it = objs.rbegin(); it != objs.rend(); ++it)
+        EXPECT_EQ(alloc.cache_alloc(id), *it);
+    for (void* p : objs)
+        alloc.cache_free(id, p);
+}
+
 // ---------------------------------------------------------------------
 // Capacity bounds
 // ---------------------------------------------------------------------
@@ -113,8 +131,22 @@ TEST(Magazine, RefillPullsHalfCapacityBatch)
     ASSERT_NE(got.back(), nullptr);
     EXPECT_EQ(alloc.magazine_object_count(id), 3u);
 
-    for (void* p : got)
-        alloc.cache_free(id, p);
+    // 3 + 5 objects fill the magazine without a flush.
+    expect_lifo_reuse(alloc, id, got);
+
+    // The SLUB baseline shares the magazine front end.
+    SlubConfig cfg;
+    cfg.arena_bytes = 64 << 20;
+    cfg.cpus = 1;
+    cfg.magazine_capacity = 8;
+    SlubAllocator slub(domain, cfg);
+    CacheId sid = slub.create_cache("slub_refill", 128);
+    std::vector<void*> sgot;
+    for (int i = 0; i < 5; ++i) {
+        sgot.push_back(slub.cache_alloc(sid));
+        ASSERT_NE(sgot.back(), nullptr);
+    }
+    expect_lifo_reuse(slub, sid, sgot);
 }
 
 TEST(Magazine, OverflowFlushesHalfCapacityPlusOne)

@@ -10,6 +10,7 @@
 
 #include "page/buddy_allocator.h"
 #include "slab/latent_ring.h"
+#include "slab/magazine.h"
 #include "slab/node_lists.h"
 #include "slab/object_cache.h"
 #include "slab/page_owner.h"
@@ -309,6 +310,25 @@ TEST(ObjectCache, LifoWithColdEviction)
     EXPECT_EQ(cache.pop(), &d);
     EXPECT_EQ(cache.pop(), &c);
     EXPECT_EQ(cache.pop(), nullptr);
+}
+
+TEST(ObjectCache, PopsToEmptyInLifoOrder)
+{
+    // Every pop reads slots_[count_ - 1] to prefetch the next object;
+    // popping to empty at capacity 1 and at full capacity keeps that
+    // index inside the slots (the asan preset checks the reads).
+    for (std::size_t cap : {std::size_t{1}, kMaxMagazineCapacity}) {
+        ObjectCache cache(cap);
+        std::vector<int> objs(cap);
+        EXPECT_EQ(cache.pop(), nullptr);
+        for (int& o : objs)
+            cache.push(&o);
+        EXPECT_TRUE(cache.full());
+        for (std::size_t i = cap; i-- > 0;)
+            EXPECT_EQ(cache.pop(), &objs[i]);
+        EXPECT_TRUE(cache.empty());
+        EXPECT_EQ(cache.pop(), nullptr);
+    }
 }
 
 TEST(LatentRing, FifoAndBounds)

@@ -69,6 +69,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "api/allocator.h"
@@ -99,187 +100,248 @@ constexpr std::uint64_t kModeDefault = ~std::uint64_t{0};
 /// Marks an unset --sites (the session bit is never a site).
 constexpr std::uint32_t kModeSites = ~std::uint32_t{0};
 
+/**
+ * The parsed command line. Each field's flag and meaning are in
+ * kFlags below; kModeDefault / kModeSites fields take the fault-mode
+ * or schedule-mode default once parsing is done.
+ */
 struct Options
 {
     double duration_s = 30.0;
     std::uint64_t fault_seed = 42;
     bool faults = true;
     double fault_rate = 0.02;
-    /// Thread counts: fault mode 4 / 4 / 1, schedule mode 2 / 2 / 0.
     std::uint64_t readers = kModeDefault;
     std::uint64_t updaters = kModeDefault;
     std::uint64_t oom_threads = kModeDefault;
     std::string allocator = "prudence";
-    /// Arena, magazines, page cache: fault mode 32 / 32 / 32, schedule
-    /// mode 16 / 16 / 16.
     std::size_t arena_mb = kModeDefault;
     std::size_t magazine_capacity = kModeDefault;
     std::size_t pcp_high_watermark = kModeDefault;
     std::size_t pcp_batch = 8;
     std::uint64_t stall_threshold_ms = 1000;
-    /// Lock-free per-CPU caches + magazine depot (DESIGN.md §14):
-    /// -1 = build default, 0 = legacy spinlock leg, 1 = lock-free leg.
-    int lockfree_pcpu = -1;
+    int lockfree_pcpu = -1;  ///< -1 = build default (DESIGN.md §14)
     bool expect_stall = false;
-    /// Stop after this many updates in total instead of after
-    /// --duration (0 = duration-bounded); schedule mode: updates per
-    /// updater (default 300).
-    std::uint64_t ops = kModeDefault;
-    /// Single-threaded, ops-bounded, no background threads: two runs
-    /// with the same --fault-seed are bit-identical in every fault
-    /// fingerprint and accounting counter.
+    std::uint64_t ops = kModeDefault;  ///< 0 = duration-bounded
     bool deterministic = false;
-    /// Write the machine-readable fingerprint + accounting report
-    /// here ("" = don't).
-    std::string report_json;
-    /// Live vmstat-style console view (DESIGN.md §12) while the
-    /// torture runs.
-    bool prudstat = false;
+    std::string report_json;  ///< "" = don't
+    bool prudstat = false;    ///< DESIGN.md §12
     std::uint64_t prudstat_interval_ms = 500;
-    /// Run the adaptive reclamation governor (DESIGN.md §13) over the
-    /// torture: a private monitor feeds the stock scheme list, and
-    /// governor_action faults refuse a share of its dispatches — the
-    /// control loop must keep accounting and the fault-decision audit
-    /// clean.
-    bool governor = false;
-    /// Scenario mode: stock scenario name or DSL file ("" = classic
-    /// torture threads).
-    std::string scenario;
-    /// Scenario mode: run the schedule as fast as possible instead of
-    /// pacing against the wall clock.
+    bool governor = false;  ///< DESIGN.md §13
+    std::string scenario;   ///< "" = the torture threads
     bool scenario_paced = true;
-    /// Scenario mode: engine threads (0 = one per shard).
-    unsigned scenario_threads = 0;
-    /// Scenario mode: override the spec's scheduled duration
-    /// (0 = use the spec's).
-    std::uint64_t scenario_duration_ms = 0;
+    unsigned scenario_threads = 0;           ///< 0 = one per shard
+    std::uint64_t scenario_duration_ms = 0;  ///< 0 = the spec's
 
     /// Schedule mode: seeded schedule perturbation with the reference
     /// model installed.
     bool schedule = false;
-    std::uint64_t seeds = 20;     ///< sweep width
-    std::uint64_t seed_base = 1;  ///< first seed of the sweep
-    std::uint64_t seed = 0;       ///< != 0: replay this single seed
-    /// Sites to arm (kModeSites = the mode's set: the fault sites, or
-    /// the race windows).
+    std::uint64_t seeds = 20;
+    std::uint64_t seed_base = 1;
+    std::uint64_t seed = 0;  ///< != 0: replay this single seed
     std::uint32_t sites = kModeSites;
     perturb::BugId bug = perturb::BugId::kNone;
     std::uint64_t base_delay_ns = 50'000;
     bool self_test = false;
-    /// Shrink a failing run's site mask.
     bool shrink = true;
-    /// Failing-run JSON report ("" = don't).
-    std::string report;
+    std::string report;  ///< failing-run JSON report; "" = don't
     /// Command-line flags a replay line repeats verbatim.
     std::string replay_args;
+};
+
+/**
+ * Store a flag's value in the field at @p M: text as is, a real by
+ * atof, an integer by strtoull in @p Base (0: decimal, 0x hex or
+ * 0-prefixed octal; the sizes and small counts parse as decimal).
+ */
+template <auto M, int Base = 0>
+bool
+set(Options& o, const char* v)
+{
+    auto& field = o.*M;
+    using T = std::remove_reference_t<decltype(field)>;
+    if constexpr (std::is_same_v<T, std::string>)
+        field = v;
+    else if constexpr (std::is_floating_point_v<T>)
+        field = std::atof(v);
+    else
+        field = static_cast<T>(std::strtoull(v, nullptr, Base));
+    return true;
+}
+
+/// A bare switch: stores @p V.
+template <auto M, bool V>
+bool
+set_switch(Options& o, const char*)
+{
+    o.*M = V;
+    return true;
+}
+
+/// Wraps a setter whose flag selects schedule mode.
+template <bool (*Apply)(Options&, const char*)>
+bool
+schedule_mode(Options& o, const char* v)
+{
+    o.schedule = true;
+    return Apply(o, v);
+}
+
+bool
+set_sites(Options& o, const char* v)
+{
+    if (perturb::mask_from_names(v, o.sites))
+        return true;
+    std::fprintf(stderr, "prudtorture: bad --sites=%s\n", v);
+    return false;
+}
+
+bool
+set_bug(Options& o, const char* v)
+{
+    o.bug = perturb::bug_from_name(v);
+    if (o.bug != perturb::BugId::kNone || std::strcmp(v, "none") == 0)
+        return true;
+    std::fprintf(stderr, "prudtorture: unknown bug '%s'\n", v);
+    return false;
+}
+
+/// One command-line flag: its spelling, its parser and its help.
+struct Flag
+{
+    const char* name;     ///< "--name"; a value follows an '='
+    const char* metavar;  ///< value placeholder; nullptr = bare switch
+    bool (*apply)(Options&, const char* value);
+    /// A replay line repeats the flag verbatim; it rewrites the flags
+    /// that pick the seed, the sites or the outputs.
+    bool replayed;
+    const char* help;               ///< '\n' continues the help column
+    const char* heading = nullptr;  ///< usage line printed above it
+};
+
+const Flag kFlags[] = {
+    {"--duration", "SECONDS", set<&Options::duration_s>, true,
+     "run time (default 30)"},
+    {"--fault-seed", "N", set<&Options::fault_seed>, false,
+     "deterministic decision seed (default 42)"},
+    {"--fault-rate", "P", set<&Options::fault_rate>, true,
+     "per-site fire probability (default 0.02)"},
+    {"--no-faults", nullptr, set_switch<&Options::faults, false>, true,
+     "run without arming any site"},
+    {"--readers", "N", set<&Options::readers>, true,
+     "reader threads (default 4; schedule mode 2)"},
+    {"--updaters", "N", set<&Options::updaters>, true,
+     "updater threads (default 4; schedule mode 2)"},
+    {"--oom-threads", "N", set<&Options::oom_threads>, true,
+     "OOM-stress threads (default 1; schedule mode 0)"},
+    {"--allocator", "KIND", set<&Options::allocator>, true,
+     "prudence | slub (default prudence)"},
+    {"--arena-mb", "N", set<&Options::arena_mb, 10>, true,
+     "simulated physical memory (default 32;\nschedule mode 16)"},
+    {"--magazine-capacity", "N", set<&Options::magazine_capacity, 10>,
+     true, "thread-local magazine depth, 0 = off (default 32;\n"
+           "schedule mode 16)"},
+    {"--pcp-high-watermark", "N", set<&Options::pcp_high_watermark, 10>,
+     true, "per-CPU page-cache watermark, 0 = off (default 32;\n"
+           "schedule mode 16)"},
+    {"--lockfree-pcpu", "0|1", set<&Options::lockfree_pcpu, 10>, false,
+     "legacy spinlock (0) or lock-free per-CPU\n"
+     "caches + depot (1); default = build default"},
+    {"--pcp-batch", "N", set<&Options::pcp_batch, 10>, true,
+     "page-cache refill/drain batch (default 8)"},
+    {"--stall-threshold-ms", "N", set<&Options::stall_threshold_ms>,
+     true, "stall-detector threshold (default 1000)"},
+    {"--expect-stall", nullptr, set_switch<&Options::expect_stall, true>,
+     true, "inject one long GP stall and require detection"},
+    {"--ops", "N", set<&Options::ops>, true,
+     "stop after N updates instead of --duration\n"
+     "(schedule mode: N per updater, default 300)"},
+    {"--deterministic", nullptr,
+     set_switch<&Options::deterministic, true>, true,
+     "1 updater, no readers/OOM/background threads;\n"
+     "same --fault-seed => identical fingerprints\n"
+     "and accounting (implies --ops, default 50000)"},
+    {"--report-json", "FILE", set<&Options::report_json>, false,
+     "write fingerprints + accounting as JSON"},
+    {"--prudstat", nullptr, set_switch<&Options::prudstat, true>, true,
+     "live vmstat-style per-layer view while running"},
+    {"--prudstat-interval-ms", "N", set<&Options::prudstat_interval_ms>,
+     true, "row interval for --prudstat (default 500)"},
+    {"--governor", nullptr, set_switch<&Options::governor, true>, true,
+     "run the adaptive reclamation governor over the\n"
+     "torture and arm governor_action refusal faults"},
+    {"--sites", "a,b,...|none", set_sites, false,
+     "arm only these sites (default: every fault site,\n"
+     "or every race window in schedule mode)"},
+    {"--report", "FILE", set<&Options::report>, false,
+     "write a failing run's seed, sites, shrunk sites\n"
+     "and replay line as JSON"},
+    {"--no-shrink", nullptr, set_switch<&Options::shrink, false>, true,
+     "do not shrink a failing run's site mask"},
+    {"--seeds", "N", schedule_mode<set<&Options::seeds>>, false,
+     "sweep N seeds (default 20)",
+     "schedule mode (the schedule policy on the race windows, "
+     "reference model on):"},
+    {"--seed-base", "K", schedule_mode<set<&Options::seed_base>>, false,
+     "first seed of the sweep (default 1)"},
+    {"--seed", "K", schedule_mode<set<&Options::seed>>, false,
+     "replay the single seed K"},
+    {"--bug", "NAME", set_bug, false,
+     "arm a deliberate bug (stale-spill-tag |\nunprotected-depot-pop)"},
+    {"--base-delay-ns", "N", set<&Options::base_delay_ns>, true,
+     "unscaled schedule delay (default 50000)"},
+    {"--self-test", nullptr,
+     schedule_mode<set_switch<&Options::self_test, true>>, false,
+     "prove the sweep convicts both deliberate bugs\nand passes clean"},
+    {"--scenario", "NAME|FILE", set<&Options::scenario>, true,
+     "run the load engine on a stock scenario\n"
+     "(burst|diurnal|churn) or a DSL file, then check\n"
+     "invariants + replay audit",
+     "scenario mode:"},
+    {"--unpaced", nullptr, set_switch<&Options::scenario_paced, false>,
+     true, "run the schedule as fast as possible (service-\n"
+           "time latency only)"},
+    {"--scenario-threads", "N", set<&Options::scenario_threads, 10>,
+     true, "engine threads (default: one per shard)"},
+    {"--scenario-duration-ms", "N",
+     set<&Options::scenario_duration_ms>, true,
+     "override the spec's scheduled duration"},
 };
 
 void
 usage(const char* argv0)
 {
-    std::fprintf(
-        stderr,
-        "usage: %s [options]\n"
-        "  --duration=SECONDS       run time (default 30)\n"
-        "  --fault-seed=N           deterministic decision seed "
-        "(default 42)\n"
-        "  --fault-rate=P           per-site fire probability "
-        "(default 0.02)\n"
-        "  --no-faults              run without arming any site\n"
-        "  --readers=N              reader threads (default 4; "
-        "schedule mode 2)\n"
-        "  --updaters=N             updater threads (default 4; "
-        "schedule mode 2)\n"
-        "  --oom-threads=N          OOM-stress threads (default 1; "
-        "schedule mode 0)\n"
-        "  --allocator=KIND         prudence | slub (default prudence)\n"
-        "  --arena-mb=N             simulated physical memory "
-        "(default 32;\n"
-        "                           schedule mode 16)\n"
-        "  --magazine-capacity=N    thread-local magazine depth, "
-        "0 = off (default 32;\n"
-        "                           schedule mode 16)\n"
-        "  --pcp-high-watermark=N   per-CPU page-cache watermark, "
-        "0 = off (default 32;\n"
-        "                           schedule mode 16)\n"
-        "  --lockfree-pcpu=0|1      legacy spinlock (0) or lock-free "
-        "per-CPU\n"
-        "                           caches + depot (1); default = "
-        "build default\n"
-        "  --pcp-batch=N            page-cache refill/drain batch "
-        "(default 8)\n"
-        "  --stall-threshold-ms=N   stall-detector threshold "
-        "(default 1000)\n"
-        "  --expect-stall           inject one long GP stall and "
-        "require detection\n"
-        "  --ops=N                  stop after N updates instead of "
-        "--duration\n"
-        "                           (schedule mode: N per updater, "
-        "default 300)\n"
-        "  --deterministic          1 updater, no readers/OOM/"
-        "background threads;\n"
-        "                           same --fault-seed => identical "
-        "fingerprints\n"
-        "                           and accounting (implies --ops, "
-        "default 50000)\n"
-        "  --report-json=FILE       write fingerprints + accounting "
-        "as JSON\n"
-        "  --prudstat               live vmstat-style per-layer view "
-        "while running\n"
-        "  --prudstat-interval-ms=N row interval for --prudstat "
-        "(default 500)\n"
-        "  --governor               run the adaptive reclamation "
-        "governor over the\n"
-        "                           torture and arm governor_action "
-        "refusal faults\n"
-        "  --sites=a,b,...|none     arm only these sites (default: "
-        "every fault site,\n"
-        "                           or every race window in schedule "
-        "mode)\n"
-        "  --report=FILE            write a failing run's seed, sites, "
-        "shrunk sites\n"
-        "                           and replay line as JSON\n"
-        "  --no-shrink              do not shrink a failing run's "
-        "site mask\n"
-        "schedule mode (the schedule policy on the race windows, "
-        "reference model on):\n"
-        "  --seeds=N                sweep N seeds (default 20)\n"
-        "  --seed-base=K            first seed of the sweep "
-        "(default 1)\n"
-        "  --seed=K                 replay the single seed K\n"
-        "  --bug=NAME               arm a deliberate bug "
-        "(stale-spill-tag |\n"
-        "                           unprotected-depot-pop)\n"
-        "  --base-delay-ns=N        unscaled schedule delay "
-        "(default 50000)\n"
-        "  --self-test              prove the sweep convicts both "
-        "deliberate bugs\n"
-        "                           and passes clean\n"
-        "scenario mode:\n"
-        "  --scenario=NAME|FILE     run the load engine on a stock "
-        "scenario\n"
-        "                           (burst|diurnal|churn) or a DSL "
-        "file, then check\n"
-        "                           invariants + replay audit\n"
-        "  --unpaced                run the schedule as fast as "
-        "possible (service-\n"
-        "                           time latency only)\n"
-        "  --scenario-threads=N     engine threads (default: one per "
-        "shard)\n"
-        "  --scenario-duration-ms=N override the spec's scheduled "
-        "duration\n",
-        argv0);
+    std::fprintf(stderr, "usage: %s [options]\n", argv0);
+    for (const Flag& f : kFlags) {
+        if (f.heading != nullptr)
+            std::fprintf(stderr, "%s\n", f.heading);
+        std::string spelling = f.name;
+        if (f.metavar != nullptr)
+            spelling = spelling + '=' + f.metavar;
+        std::fprintf(stderr, "  %-24s ", spelling.c_str());
+        for (const char* c = f.help; *c != '\0'; ++c) {
+            std::fputc(*c, stderr);
+            if (*c == '\n')
+                std::fprintf(stderr, "%27s", "");
+        }
+        std::fputc('\n', stderr);
+    }
 }
 
-bool
-flag_value(const char* arg, const char* name, const char** out)
+/// The table entry @p arg spells, with its value in @p value.
+const Flag*
+find_flag(const char* arg, const char** value)
 {
-    std::size_t n = std::strlen(name);
-    if (std::strncmp(arg, name, n) == 0 && arg[n] == '=') {
-        *out = arg + n + 1;
-        return true;
+    for (const Flag& f : kFlags) {
+        std::size_t n = std::strlen(f.name);
+        if (std::strncmp(arg, f.name, n) != 0)
+            continue;
+        if (f.metavar == nullptr ? arg[n] == '\0' : arg[n] == '=') {
+            *value = f.metavar == nullptr ? nullptr : arg + n + 1;
+            return &f;
+        }
     }
-    return false;
+    return nullptr;
 }
 
 bool
@@ -287,107 +349,14 @@ parse_options(int argc, char** argv, Options& opt)
 {
     for (int i = 1; i < argc; ++i) {
         const char* v = nullptr;
-        // Flags that pick the seed, the sites or the outputs are
-        // rewritten by a replay line; everything else it repeats.
-        bool replayed = true;
-        if (flag_value(argv[i], "--duration", &v))
-            opt.duration_s = std::atof(v);
-        else if (flag_value(argv[i], "--fault-seed", &v)) {
-            opt.fault_seed = std::strtoull(v, nullptr, 0);
-            replayed = false;
-        } else if (flag_value(argv[i], "--fault-rate", &v))
-            opt.fault_rate = std::atof(v);
-        else if (std::strcmp(argv[i], "--no-faults") == 0)
-            opt.faults = false;
-        else if (flag_value(argv[i], "--readers", &v))
-            opt.readers = std::strtoull(v, nullptr, 0);
-        else if (flag_value(argv[i], "--updaters", &v))
-            opt.updaters = std::strtoull(v, nullptr, 0);
-        else if (flag_value(argv[i], "--oom-threads", &v))
-            opt.oom_threads = std::strtoull(v, nullptr, 0);
-        else if (flag_value(argv[i], "--allocator", &v))
-            opt.allocator = v;
-        else if (flag_value(argv[i], "--arena-mb", &v))
-            opt.arena_mb = static_cast<std::size_t>(std::atoll(v));
-        else if (flag_value(argv[i], "--magazine-capacity", &v))
-            opt.magazine_capacity =
-                static_cast<std::size_t>(std::atoll(v));
-        else if (flag_value(argv[i], "--pcp-high-watermark", &v))
-            opt.pcp_high_watermark =
-                static_cast<std::size_t>(std::atoll(v));
-        else if (flag_value(argv[i], "--pcp-batch", &v))
-            opt.pcp_batch = static_cast<std::size_t>(std::atoll(v));
-        else if (flag_value(argv[i], "--lockfree-pcpu", &v)) {
-            opt.lockfree_pcpu = std::atoi(v);
-            replayed = false;
-        } else if (flag_value(argv[i], "--stall-threshold-ms", &v))
-            opt.stall_threshold_ms = std::strtoull(v, nullptr, 0);
-        else if (std::strcmp(argv[i], "--expect-stall") == 0)
-            opt.expect_stall = true;
-        else if (flag_value(argv[i], "--ops", &v))
-            opt.ops = std::strtoull(v, nullptr, 0);
-        else if (std::strcmp(argv[i], "--deterministic") == 0)
-            opt.deterministic = true;
-        else if (flag_value(argv[i], "--report-json", &v)) {
-            opt.report_json = v;
-            replayed = false;
-        } else if (std::strcmp(argv[i], "--prudstat") == 0)
-            opt.prudstat = true;
-        else if (flag_value(argv[i], "--prudstat-interval-ms", &v))
-            opt.prudstat_interval_ms = std::strtoull(v, nullptr, 0);
-        else if (std::strcmp(argv[i], "--governor") == 0)
-            opt.governor = true;
-        else if (flag_value(argv[i], "--scenario", &v))
-            opt.scenario = v;
-        else if (std::strcmp(argv[i], "--unpaced") == 0)
-            opt.scenario_paced = false;
-        else if (flag_value(argv[i], "--scenario-threads", &v))
-            opt.scenario_threads =
-                static_cast<unsigned>(std::atoi(v));
-        else if (flag_value(argv[i], "--scenario-duration-ms", &v))
-            opt.scenario_duration_ms = std::strtoull(v, nullptr, 0);
-        else if (flag_value(argv[i], "--sites", &v)) {
-            if (!perturb::mask_from_names(v, opt.sites)) {
-                std::fprintf(stderr, "prudtorture: bad --sites=%s\n", v);
-                return false;
-            }
-            replayed = false;
-        } else if (flag_value(argv[i], "--report", &v)) {
-            opt.report = v;
-            replayed = false;
-        } else if (std::strcmp(argv[i], "--no-shrink") == 0)
-            opt.shrink = false;
-        else if (flag_value(argv[i], "--seeds", &v)) {
-            opt.seeds = std::strtoull(v, nullptr, 0);
-            opt.schedule = true;
-            replayed = false;
-        } else if (flag_value(argv[i], "--seed-base", &v)) {
-            opt.seed_base = std::strtoull(v, nullptr, 0);
-            opt.schedule = true;
-            replayed = false;
-        } else if (flag_value(argv[i], "--seed", &v)) {
-            opt.seed = std::strtoull(v, nullptr, 0);
-            opt.schedule = true;
-            replayed = false;
-        } else if (flag_value(argv[i], "--bug", &v)) {
-            opt.bug = perturb::bug_from_name(v);
-            if (opt.bug == perturb::BugId::kNone &&
-                std::strcmp(v, "none") != 0) {
-                std::fprintf(stderr, "prudtorture: unknown bug '%s'\n", v);
-                return false;
-            }
-            replayed = false;
-        } else if (flag_value(argv[i], "--base-delay-ns", &v))
-            opt.base_delay_ns = std::strtoull(v, nullptr, 0);
-        else if (std::strcmp(argv[i], "--self-test") == 0) {
-            opt.self_test = true;
-            opt.schedule = true;
-            replayed = false;
-        } else {
+        const Flag* f = find_flag(argv[i], &v);
+        if (f == nullptr) {
             usage(argv[0]);
             return false;
         }
-        if (replayed) {
+        if (!f->apply(opt, v))
+            return false;
+        if (f->replayed) {
             opt.replay_args += ' ';
             opt.replay_args += argv[i];
         }
