@@ -10,10 +10,18 @@
 # references the gate object perturb::detail::g_injector at all, which
 # is what a renamed gate would look like.
 #
-# The same pass guards the warm magazine hand-off (DESIGN.md §9), which
-# no unit test can see: it fails when PrudenceAllocator::alloc_impl in
-# libprudence_core.a or SlubAllocator::alloc_impl in libprudence_slub.a
-# holds no prefetch instruction (x86 prefetch*, AArch64 prfm).
+# The same pass guards the magazine hit paths (DESIGN.md §9 "Leaf hit
+# path"), which no unit test can see:
+#  - cache_alloc, cache_free (both allocators) and Prudence's
+#    cache_free_deferred must be leaves: no call and no callee-saved
+#    push anywhere in the symbol (every boundary is a tail jump to an
+#    out-of-line slow path), and at least one ret;
+#  - cache_alloc must hold a prefetch instruction (x86 prefetch*,
+#    AArch64 prfm): the warm magazine hand-off;
+#  - no library may reference a TLS init wrapper (_ZTH*/_ZTW*) of the
+#    thread-lookup memos (ThreadCacheRegistry's t_tcr_last_*,
+#    ThreadRegistry's t_tr_last_*), which must stay constinit; and some
+#    library must load t_tcr_last_serial, or this check is stale.
 #
 # Usage: scripts/check_idle_gates.sh [build-dir]
 #   build-dir  an optimised build tree (default: build); build it first
@@ -50,27 +58,65 @@ for lib in $libs; do
     refs=$((refs + n))
 done
 
-# Prefetches in CLASS::alloc_impl (matched by its mangled name), the
-# fast path that ObjectCache::pop is inlined into.
-prefetches() {  # LIB CLASS
+# One function's instructions, by the mangled CLASS::METHOD prefix.
+body() {  # LIB CLASS METHOD
     objdump -d --no-show-raw-insn "$BUILD_DIR/src/$1" |
-        awk -v fn="${#2}$2"10alloc_impl '
+        awk -v fn="${#2}$2${#3}$3"E '
         / <[^>]*>:$/ { inside = index($2, fn) > 0; next }
-        inside && /\t(prefetch|prfm)/ { n++ }
-        END { print n + 0 }'
+        inside { print }'
 }
-hands=""
-for pair in core/libprudence_core.a:PrudenceAllocator \
-            slub/libprudence_slub.a:SlubAllocator; do
-    lib=${pair%%:*} cls=${pair#*:}
-    n=$(prefetches "$lib" "$cls")
-    if [ "$n" -eq 0 ]; then
-        echo "check_idle_gates: $cls::alloc_impl in $lib has no" \
-            "prefetch; the warm magazine hand-off is gone" >&2
+count() {  # MNEMONIC-REGEX (reads a body on stdin)
+    grep -cE "^ *[0-9a-f]+:[[:space:]]+($1)([[:space:]]|\$)" || true
+}
+hits=""
+for spec in core/libprudence_core.a:PrudenceAllocator:cache_alloc \
+            core/libprudence_core.a:PrudenceAllocator:cache_free \
+            core/libprudence_core.a:PrudenceAllocator:cache_free_deferred \
+            slub/libprudence_slub.a:SlubAllocator:cache_alloc \
+            slub/libprudence_slub.a:SlubAllocator:cache_free; do
+    lib=${spec%%:*} rest=${spec#*:}
+    cls=${rest%%:*} fn=${rest#*:}
+    text=$(body "$lib" "$cls" "$fn")
+    calls=$(echo "$text" | count 'call[a-z]*|bl|blr')
+    pushes=$(echo "$text" | count 'push[a-z]*|stp[[:space:]]+x29')
+    rets=$(echo "$text" | count 'ret[a-z]*')
+    if [ "$rets" -eq 0 ] || [ "$calls" -ne 0 ] || [ "$pushes" -ne 0 ]; then
+        echo "check_idle_gates: $cls::$fn in $lib is not a leaf hit" \
+            "path ($calls calls, $pushes pushes, $rets rets)" >&2
         status=1
     fi
-    hands="$hands $n"
+    if [ "$fn" = cache_alloc ]; then
+        n=$(echo "$text" | count 'prefetch[a-z0-9]*|prfm')
+        if [ "$n" -eq 0 ]; then
+            echo "check_idle_gates: $cls::$fn in $lib has no" \
+                "prefetch; the warm magazine hand-off is gone" >&2
+            status=1
+        fi
+        hits="$hits $n"
+    fi
 done
+
+MEMO='N8prudence6detail[0-9]+t_(tcr|tr)_last_'
+wrappers=""
+memo_loads=0
+for lib in $libs; do
+    relocs=$(objdump -dr "$lib")
+    w=$(echo "$relocs" | grep -oE "_ZT[HW]$MEMO[a-z_]*E" | sort -u)
+    [ -n "$w" ] && wrappers="$wrappers $lib: $(echo $w)"
+    n=$(echo "$relocs" |
+        grep -c "R_.*_ZN8prudence6detail17t_tcr_last_serialE" || true)
+    memo_loads=$((memo_loads + n))
+done
+if [ -n "$wrappers" ]; then
+    echo "check_idle_gates: thread-lookup memo read through a TLS" \
+        "init wrapper (not constinit):$wrappers" >&2
+    status=1
+fi
+if [ "$memo_loads" -eq 0 ]; then
+    echo "check_idle_gates: no library loads t_tcr_last_serial;" \
+        "the memo or this check's pattern is stale" >&2
+    status=1
+fi
 
 if [ "$refs" -eq 0 ]; then
     echo "check_idle_gates: no library references $GATE;" \
@@ -80,6 +126,7 @@ fi
 if [ "$status" -eq 0 ]; then
     echo "check_idle_gates: ok ($(echo "$libs" | wc -l) libraries," \
         "$refs inline gate loads, no out-of-line gate calls," \
-        "alloc_impl prefetches:$hands)"
+        "leaf hit paths, $memo_loads memo loads, cache_alloc" \
+        "prefetches:$hits)"
 fi
 exit "$status"

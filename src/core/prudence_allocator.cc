@@ -39,11 +39,8 @@ PrudenceAllocator::PrudenceAllocator(GracePeriodDomain& domain,
                          config.pcp_batch, config.pcp_high_watermark}),
       owners_(buddy_),
       cpu_registry_(config.cpus),
-      magazine_registry_(ThreadCacheRegistry::Hooks{
-          [this](void* t) {
-              drain_table(*static_cast<ThreadMagazines*>(t));
-          },
-          [](void* t) { delete static_cast<ThreadMagazines*>(t); }})
+      front_(config.magazine_capacity, cpu_registry_,
+             [this](ThreadMagazines& t) { drain_table(t); })
 {
     for (std::size_t i = 0; i < kNumSizeClasses; ++i) {
         caches_[i] = std::make_unique<Cache>(
@@ -70,7 +67,7 @@ PrudenceAllocator::~PrudenceAllocator()
     // Reclaim surviving per-thread magazines while the caches they
     // drain into are still alive (members are destroyed only after
     // this body runs).
-    magazine_registry_.shutdown();
+    front_.shutdown();
 }
 
 PrudenceAllocator::Cache&
@@ -101,7 +98,7 @@ PrudenceAllocator::kmalloc(std::size_t size)
     std::size_t idx = size_class_index(size);
     if (idx >= kNumSizeClasses)
         return nullptr;
-    return alloc_impl(*caches_[idx]);
+    return cache_alloc(CacheId{idx});
 }
 
 void
@@ -111,7 +108,7 @@ PrudenceAllocator::kfree(void* p)
         return;
     Cache* c = cache_of_object(p);
     assert(c != nullptr && "kfree of a pointer this allocator does not own");
-    free_impl(*c, p);
+    cache_free(CacheId{c->index}, p);
 }
 
 void
@@ -122,7 +119,7 @@ PrudenceAllocator::kfree_deferred(void* p)
     Cache* c = cache_of_object(p);
     assert(c != nullptr &&
            "kfree_deferred of a pointer this allocator does not own");
-    free_deferred_impl(*c, p);
+    cache_free_deferred(CacheId{c->index}, p);
 }
 
 CacheId
@@ -154,10 +151,18 @@ PrudenceAllocator::create_cache(const std::string& name,
     return CacheId{count};
 }
 
+// The hit paths (DESIGN.md §9 "Leaf hit path"): a pop, push or
+// deferral-buffer append on the calling thread's magazine. Every
+// boundary — no magazine yet, empty, full, the push that fills the
+// deferral buffer, magazine_capacity = 0 — tail-calls the out-of-line
+// *_impl slow path, which counts the call itself.
+
 void*
 PrudenceAllocator::cache_alloc(CacheId cache)
 {
-    return alloc_impl(cache_ref(cache));
+    if (void* obj = front_.pop(cache.index))
+        return obj;
+    return alloc_impl(cache);
 }
 
 void
@@ -165,7 +170,9 @@ PrudenceAllocator::cache_free(CacheId cache, void* p)
 {
     if (p == nullptr)
         return;
-    free_impl(cache_ref(cache), p);
+    if (front_.push(cache.index, p))
+        return;
+    free_impl(cache, p);
 }
 
 void
@@ -173,7 +180,15 @@ PrudenceAllocator::cache_free_deferred(CacheId cache, void* p)
 {
     if (p == nullptr)
         return;
-    free_deferred_impl(cache_ref(cache), p);
+    // One more boundary than alloc/free: while a schedule session
+    // runs or kMagDeferBuffer is armed, the append goes through
+    // free_deferred_impl, where the model hooks and the site sit.
+    Magazine* m = front_.hot(cache.index);
+    if (m == nullptr || m->defer_count + 1 >= m->defer_capacity ||
+        PRUDENCE_PERTURB_LIVE(kMagDeferBuffer))
+        return free_deferred_impl(cache, p);
+    ++m->stats.deferred_free_calls;
+    m->defers[m->defer_count++] = p;
 }
 
 // ---------------------------------------------------------------------
@@ -181,16 +196,20 @@ PrudenceAllocator::cache_free_deferred(CacheId cache, void* p)
 // ---------------------------------------------------------------------
 
 void*
-PrudenceAllocator::alloc_impl(Cache& c)
+PrudenceAllocator::alloc_impl(CacheId cache)
 {
+    Cache& c = cache_ref(cache);
     if (config_.magazine_capacity > 0) {
-        // Thread-local fast path: no lock, no shared atomic. Stats
+        // Thread-local magazine: no lock, no shared atomic. Stats
         // accumulate in plain per-thread deltas (flushed at batch
-        // boundaries) and the per-op trace span is skipped — the
+        // boundaries) and hits skip the per-op trace span — the
         // batch-boundary events (kMagRefill/kMagFlush) carry the
-        // timing story instead.
-        ThreadMagazines& t = thread_state();
-        Magazine& m = t.ensure(c.index, magazine_capacity_for(c));
+        // timing story instead. A pop that hits here is a hit the
+        // inline path could not see (the thread's first call, or
+        // its memo named another allocator).
+        ThreadMagazines& t = front_.table();
+        Magazine& m = front_.magazine(t, c.index,
+                                      c.pool.geometry().cache_capacity);
         ++m.stats.alloc_calls;
         if (void* obj = m.objects.pop()) {
             ++m.stats.cache_hits;
@@ -584,15 +603,17 @@ PrudenceAllocator::select_slab(Cache& c, GpEpoch completed)
 // ---------------------------------------------------------------------
 
 void
-PrudenceAllocator::free_impl(Cache& c, void* p)
+PrudenceAllocator::free_impl(CacheId cache, void* p)
 {
+    Cache& c = cache_ref(cache);
     if (config_.magazine_capacity > 0) {
-        // Thread-local fast path. The live_objects gauge is NOT
+        // Thread-local magazine. The live_objects gauge is NOT
         // decremented here: it counts application-held plus
         // magazine-held objects and moves only at batch boundaries
         // (magazine_alloc_slow adds, magazine_flush subtracts).
-        ThreadMagazines& t = thread_state();
-        Magazine& m = t.ensure(c.index, magazine_capacity_for(c));
+        ThreadMagazines& t = front_.table();
+        Magazine& m = front_.magazine(t, c.index,
+                                      c.pool.geometry().cache_capacity);
         ++m.stats.free_calls;
         if (m.objects.full())
             magazine_flush(c, t, m, m.objects.capacity() / 2 + 1);
@@ -656,15 +677,17 @@ PrudenceAllocator::flush(Cache& c, PerCpu& pc, std::size_t n)
 // ---------------------------------------------------------------------
 
 void
-PrudenceAllocator::free_deferred_impl(Cache& c, void* p)
+PrudenceAllocator::free_deferred_impl(CacheId cache, void* p)
 {
+    Cache& c = cache_ref(cache);
     if (config_.magazine_capacity > 0) {
-        // Thread-local fast path: buffer the object with NO epoch
+        // Thread-local magazine: buffer the object with NO epoch
         // read. The whole buffer is tagged with one defer_epoch()
         // at spill time — conservative (>= each member's true defer
         // epoch), so reuse can only be delayed, never premature.
-        ThreadMagazines& t = thread_state();
-        Magazine& m = t.ensure(c.index, magazine_capacity_for(c));
+        ThreadMagazines& t = front_.table();
+        Magazine& m = front_.magazine(t, c.index,
+                                      c.pool.geometry().cache_capacity);
         ++m.stats.deferred_free_calls;
         // Model bookkeeping (schedule sessions only): the defer-time epoch
         // is the floor any later spill tag must respect.
@@ -904,31 +927,6 @@ PrudenceAllocator::merge_slab_latent(Cache& c, SlabHeader* slab,
 // ---------------------------------------------------------------------
 // Thread-local magazine layer (DESIGN.md §9)
 // ---------------------------------------------------------------------
-
-ThreadMagazines&
-PrudenceAllocator::thread_state()
-{
-    if (void* table = magazine_registry_.lookup())
-        return *static_cast<ThreadMagazines*>(table);
-    // First touch: resolve the CPU id ONCE — the magazine pins thread
-    // identity, so per-operation CpuRegistry lookups are hoisted out
-    // of the hot path for the life of the thread.
-    auto* t = new ThreadMagazines(cpu_registry_.cpu_id());
-    magazine_registry_.attach(t);
-    return *t;
-}
-
-std::size_t
-PrudenceAllocator::magazine_capacity_for(const Cache& c) const
-{
-    std::size_t cap = config_.magazine_capacity;
-    // Never deeper than the per-CPU cache behind it (one magazine
-    // flush must always fit after one per-CPU flush) nor than the
-    // fixed scratch arrays.
-    cap = std::min(cap, c.pool.geometry().cache_capacity);
-    cap = std::min(cap, kMaxMagazineCapacity);
-    return cap > 0 ? cap : 1;
-}
 
 GpEpoch
 PrudenceAllocator::refresh_completed(ThreadMagazines& t)
@@ -1282,34 +1280,31 @@ PrudenceAllocator::drain_calling_thread() const
 {
     if (config_.magazine_capacity == 0)
         return;
-    void* table = magazine_registry_.lookup();
-    if (table == nullptr)
+    ThreadMagazines* t = front_.current();
+    if (t == nullptr)
         return;
     // Logically const: moves objects between internal caches and
     // folds stat deltas the shared counters already own.
-    const_cast<PrudenceAllocator*>(this)->drain_table(
-        *static_cast<ThreadMagazines*>(table));
+    const_cast<PrudenceAllocator*>(this)->drain_table(*t);
 }
 
 std::size_t
 PrudenceAllocator::magazine_object_count(CacheId cache) const
 {
-    void* table = magazine_registry_.lookup();
-    if (table == nullptr)
+    ThreadMagazines* t = front_.current();
+    if (t == nullptr)
         return 0;
-    auto& t = *static_cast<ThreadMagazines*>(table);
-    auto& slot = t.mags[cache_ref(cache).index];
+    auto& slot = t->mags[cache_ref(cache).index];
     return slot ? slot->objects.count() : 0;
 }
 
 std::size_t
 PrudenceAllocator::magazine_defer_count(CacheId cache) const
 {
-    void* table = magazine_registry_.lookup();
-    if (table == nullptr)
+    ThreadMagazines* t = front_.current();
+    if (t == nullptr)
         return 0;
-    auto& t = *static_cast<ThreadMagazines*>(table);
-    auto& slot = t.mags[cache_ref(cache).index];
+    auto& slot = t->mags[cache_ref(cache).index];
     return slot ? slot->defer_count : 0;
 }
 

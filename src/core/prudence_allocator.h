@@ -21,9 +21,11 @@
  *    grace period while deferred memory is outstanding.
  *
  * This file implements Algorithm 1 of the paper; the function names
- * mirror the pseudocode (malloc → alloc_impl, FREE_DEFERRED →
- * free_deferred_impl, REFILL_OBJECT_CACHE → refill,
- * MERGE_CACHES → merge_caches, PRE_MOVE_SLAB → pre_move_slab).
+ * mirror the pseudocode (malloc → cache_alloc/alloc_impl,
+ * FREE_DEFERRED → cache_free_deferred/free_deferred_impl,
+ * REFILL_OBJECT_CACHE → refill, MERGE_CACHES → merge_caches,
+ * PRE_MOVE_SLAB → pre_move_slab). The public entry points are the
+ * magazine hit paths; the *_impl functions hold every boundary.
  */
 #ifndef PRUDENCE_CORE_PRUDENCE_ALLOCATOR_H
 #define PRUDENCE_CORE_PRUDENCE_ALLOCATOR_H
@@ -46,13 +48,13 @@
 #include "slab/latent_ring.h"
 #include "slab/magazine.h"
 #include "slab/magazine_depot.h"
+#include "slab/magazine_front.h"
 #include "slab/object_cache.h"
 #include "slab/page_owner.h"
 #include "slab/slab_pool.h"
 #include "sync/cacheline.h"
 #include "sync/cpu_registry.h"
 #include "sync/spinlock.h"
-#include "sync/thread_cache_registry.h"
 
 namespace prudence {
 
@@ -225,7 +227,12 @@ class PrudenceAllocator final : public Allocator
     Cache& cache_ref(CacheId id) const;
     Cache* cache_of_object(const void* p) const;
 
-    void* alloc_impl(Cache& c);
+    /// Slow paths behind the magazine hit paths of cache_alloc,
+    /// cache_free and cache_free_deferred (DESIGN.md §9 "Leaf hit
+    /// path"): out of line so the hit paths stay leaves. They take
+    /// the CacheId so the id check (cache_ref's assert) runs here,
+    /// not on the hit path.
+    [[gnu::noinline]] void* alloc_impl(CacheId cache);
     /// One allocation attempt; sets *oom when memory was exhausted.
     void* alloc_attempt(Cache& c, bool* oom);
     /// OOM escalation (Algorithm 1 lines 31-32): expedite, then wait
@@ -235,17 +242,11 @@ class PrudenceAllocator final : public Allocator
     /// True when any cache has deferred objects outstanding (the OOM
     /// escalation's "is waiting worthwhile?" predicate).
     bool any_cache_has_deferred() const;
-    void free_impl(Cache& c, void* p);
-    void free_deferred_impl(Cache& c, void* p);
+    [[gnu::noinline]] void free_impl(CacheId cache, void* p);
+    [[gnu::noinline]] void free_deferred_impl(CacheId cache, void* p);
 
     // ---- thread-local magazine layer (DESIGN.md §9) ----
 
-    /// The calling thread's magazine table, created and registered on
-    /// first use (pins the thread's CPU id at creation).
-    ThreadMagazines& thread_state();
-    /// Magazine capacity for @p c: the config knob clamped to the
-    /// per-CPU cache capacity and kMaxMagazineCapacity.
-    std::size_t magazine_capacity_for(const Cache& c) const;
     /// The thread's cached completed-epoch snapshot, re-read from the
     /// domain only when its completion generation has moved. Stale
     /// values are conservative (<= truth), never unsafe.
@@ -391,10 +392,11 @@ class PrudenceAllocator final : public Allocator
     BuddyAllocator buddy_;
     PageOwnerTable owners_;
     CpuRegistry cpu_registry_;
-    /// Per-thread magazine tables (drain-on-thread-exit). The
-    /// destructor shuts this down explicitly before any member is
-    /// destroyed, so hook ordering never matters.
-    mutable ThreadCacheRegistry magazine_registry_;
+    /// Per-thread magazine tables and the hit-path lookup
+    /// (drain-on-thread-exit). The destructor shuts this down
+    /// explicitly before any member is destroyed, so hook ordering
+    /// never matters.
+    MagazineFront front_;
 
     mutable std::mutex caches_mutex_;  ///< guards cache creation only
     /// Serializes background sweeps (maintenance pass, governor

@@ -466,6 +466,15 @@ BugId bug_from_name(const char* name);
         (void)PRUDENCE_FAULT_POINT(site);                              \
     } while (0)
 
+/// True while a schedule session runs or @p site is armed: one load
+/// of the gate, for a hit path that hands the operation to a slow path
+/// holding the site and the model hooks, instead of inlining them.
+#define PRUDENCE_PERTURB_LIVE(site)                                    \
+    ((::prudence::perturb::Injector::instance().armed_mask() &         \
+      (::prudence::perturb::kSessionBit |                              \
+       ::prudence::perturb::site_bit(                                  \
+           ::prudence::perturb::SiteId::site))) != 0)
+
 /// Statement executed only while a schedule session runs (model-
 /// checker hooks, deliberate-bug detours).
 #define PRUDENCE_MODEL_STMT(stmt)                                      \

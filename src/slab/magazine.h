@@ -116,9 +116,9 @@ static_assert(alignof(Magazine) == kCacheLineSize,
 
 /**
  * All of one thread's magazines for one allocator instance, plus the
- * thread's cached view of grace-period completion. Registered with
- * the allocator's ThreadCacheRegistry; drained on thread exit or
- * allocator shutdown.
+ * thread's cached view of grace-period completion. Created and
+ * registered by the allocator's MagazineFront (slab/magazine_front.h);
+ * drained on thread exit or allocator shutdown.
  */
 struct ThreadMagazines
 {
@@ -133,20 +133,10 @@ struct ThreadMagazines
     GpEpoch cached_completed = 0;
     std::uint64_t gen_seen = 0;
 
-    /// Lazily created magazine per cache index.
+    /// Lazily created magazine per cache index (MagazineFront::magazine).
     std::array<std::unique_ptr<Magazine>, kMaxSlabCaches> mags;
 
     explicit ThreadMagazines(unsigned cpu_id) : cpu(cpu_id) {}
-
-    /// The magazine for cache @p index, created on first use.
-    Magazine&
-    ensure(std::size_t index, std::size_t capacity)
-    {
-        auto& slot = mags[index];
-        if (!slot)
-            slot = std::make_unique<Magazine>(capacity);
-        return *slot;
-    }
 };
 
 static_assert(alignof(ThreadMagazines) <= kCacheLineSize,

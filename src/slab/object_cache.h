@@ -26,7 +26,9 @@ class ObjectCache
     std::size_t capacity() const { return capacity_; }
     std::size_t count() const { return count_; }
     bool empty() const { return count_ == 0; }
-    bool full() const { return count_ == capacity_; }
+    /// >=, not ==: lets the compiler drop push()'s assert after a
+    /// !full() check (the magazine hit path stays call-free).
+    bool full() const { return count_ >= capacity_; }
 
     /**
      * Pop the most recently cached object; nullptr when empty.

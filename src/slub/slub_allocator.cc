@@ -42,14 +42,10 @@ SlubAllocator::SlubAllocator(GracePeriodDomain& domain,
                          config.pcp_batch, config.pcp_high_watermark}),
       owners_(buddy_),
       cpu_registry_(config.cpus),
-      magazine_capacity_(config.magazine_capacity),
       lockfree_pcpu_(config.lockfree_pcpu),
       pressure_drain_batch_(config.pressure_drain_batch),
-      magazine_registry_(ThreadCacheRegistry::Hooks{
-          [this](void* t) {
-              drain_table(*static_cast<ThreadMagazines*>(t));
-          },
-          [](void* t) { delete static_cast<ThreadMagazines*>(t); }})
+      front_(config.magazine_capacity, cpu_registry_,
+             [this](ThreadMagazines& t) { drain_table(t); })
 {
     // The kmalloc ladder occupies cache indexes [0, kNumSizeClasses).
     for (std::size_t i = 0; i < kNumSizeClasses; ++i) {
@@ -74,7 +70,7 @@ SlubAllocator::~SlubAllocator()
     // drain into still exist. Callback-invoked frees bypass the
     // magazine layer, so the engine drain that follows (engine_ is
     // destroyed first, declaration order) cannot repopulate them.
-    magazine_registry_.shutdown();
+    front_.shutdown();
 }
 
 SlubAllocator::Cache&
@@ -111,7 +107,7 @@ SlubAllocator::kfree(void* p)
         return;
     Cache* c = cache_of_object(p);
     assert(c != nullptr && "kfree of a pointer this allocator does not own");
-    free_impl(*c, p, /*from_callback=*/false);
+    cache_free(CacheId{c->index}, p);
 }
 
 void
@@ -140,7 +136,7 @@ SlubAllocator::deferred_free_cb(void* ctx, void* obj)
     Cache* c = self->cache_of_object(obj);
     assert(c != nullptr);
     c->pool.stats().deferred_outstanding.sub();
-    self->free_impl(*c, obj, /*from_callback=*/true);
+    self->free_impl(CacheId{c->index}, obj, /*from_callback=*/true);
 }
 
 CacheId
@@ -165,10 +161,16 @@ SlubAllocator::create_cache(const std::string& name,
     return CacheId{count};
 }
 
+// The hit paths (DESIGN.md §9 "Leaf hit path"), the same as
+// Prudence's: every boundary tail-calls the out-of-line *_impl slow
+// path, which counts the call itself.
+
 void*
 SlubAllocator::cache_alloc(CacheId cache)
 {
-    return alloc_impl(cache_ref(cache));
+    if (void* obj = front_.pop(cache.index))
+        return obj;
+    return alloc_impl(cache);
 }
 
 void
@@ -176,7 +178,9 @@ SlubAllocator::cache_free(CacheId cache, void* p)
 {
     if (p == nullptr)
         return;
-    free_impl(cache_ref(cache), p, /*from_callback=*/false);
+    if (front_.push(cache.index, p))
+        return;
+    free_impl(cache, p, /*from_callback=*/false);
 }
 
 void
@@ -195,15 +199,17 @@ SlubAllocator::cache_free_deferred(CacheId cache, void* p)
 }
 
 void*
-SlubAllocator::alloc_impl(Cache& c)
+SlubAllocator::alloc_impl(CacheId cache)
 {
-    if (magazine_capacity_ > 0) {
-        // Thread-local fast path (no lock, no shared atomic); stats
+    Cache& c = cache_ref(cache);
+    if (front_.capacity() > 0) {
+        // Thread-local magazine (no lock, no shared atomic); stats
         // accumulate as plain per-thread deltas flushed at batch
         // boundaries. Identical accounting semantics to Prudence's
         // magazine layer so head-to-head numbers stay comparable.
-        ThreadMagazines& t = thread_state();
-        Magazine& m = t.ensure(c.index, magazine_capacity_for(c));
+        ThreadMagazines& t = front_.table();
+        Magazine& m = front_.magazine(t, c.index,
+                                      c.pool.geometry().cache_capacity);
         ++m.stats.alloc_calls;
         if (void* obj = m.objects.pop()) {
             ++m.stats.cache_hits;
@@ -337,15 +343,17 @@ SlubAllocator::refill(Cache& c, ObjectCache& cache)
 }
 
 void
-SlubAllocator::free_impl(Cache& c, void* p, bool from_callback)
+SlubAllocator::free_impl(CacheId cache, void* p, bool from_callback)
 {
-    if (magazine_capacity_ > 0 && !from_callback) {
-        // Thread-local fast path. Callback-invoked frees bypass it:
+    Cache& c = cache_ref(cache);
+    if (front_.capacity() > 0 && !from_callback) {
+        // Thread-local magazine. Callback-invoked frees bypass it:
         // the engine's drainer threads never exit, so objects routed
         // into their magazines would be stranded until allocator
         // shutdown.
-        ThreadMagazines& t = thread_state();
-        Magazine& m = t.ensure(c.index, magazine_capacity_for(c));
+        ThreadMagazines& t = front_.table();
+        Magazine& m = front_.magazine(t, c.index,
+                                      c.pool.geometry().cache_capacity);
         ++m.stats.free_calls;
         if (m.objects.full())
             magazine_flush(c, t, m, m.objects.capacity() / 2 + 1);
@@ -471,26 +479,6 @@ SlubAllocator::flush_batch(Cache& c, void* const* objs, std::size_t k)
 // Thread-local magazine layer (DESIGN.md §9; object side only —
 // deferred frees remain per-operation callbacks)
 // ---------------------------------------------------------------------
-
-ThreadMagazines&
-SlubAllocator::thread_state()
-{
-    if (void* table = magazine_registry_.lookup())
-        return *static_cast<ThreadMagazines*>(table);
-    // CPU id resolved once; the magazine pins thread identity.
-    auto* t = new ThreadMagazines(cpu_registry_.cpu_id());
-    magazine_registry_.attach(t);
-    return *t;
-}
-
-std::size_t
-SlubAllocator::magazine_capacity_for(const Cache& c) const
-{
-    std::size_t cap = magazine_capacity_;
-    cap = std::min(cap, c.pool.geometry().cache_capacity);
-    cap = std::min(cap, kMaxMagazineCapacity);
-    return cap > 0 ? cap : 1;
-}
 
 void*
 SlubAllocator::magazine_alloc_slow(Cache& c, ThreadMagazines& t,
@@ -663,13 +651,12 @@ SlubAllocator::drain_table(ThreadMagazines& t)
 void
 SlubAllocator::drain_calling_thread() const
 {
-    if (magazine_capacity_ == 0)
+    if (front_.capacity() == 0)
         return;
-    void* table = magazine_registry_.lookup();
-    if (table == nullptr)
+    ThreadMagazines* t = front_.current();
+    if (t == nullptr)
         return;
-    const_cast<SlubAllocator*>(this)->drain_table(
-        *static_cast<ThreadMagazines*>(table));
+    const_cast<SlubAllocator*>(this)->drain_table(*t);
 }
 
 void

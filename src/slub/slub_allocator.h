@@ -26,6 +26,7 @@
 #include "rcu/callback_engine.h"
 #include "rcu/grace_period.h"
 #include "slab/magazine.h"
+#include "slab/magazine_front.h"
 #include "slab/object_cache.h"
 #include "slab/page_owner.h"
 #include "slab/slab_pool.h"
@@ -33,7 +34,6 @@
 #include "sync/cpu_registry.h"
 #include "sync/spinlock.h"
 #include "sync/lockfree_ring.h"
-#include "sync/thread_cache_registry.h"
 
 // Build-time default for the lock-free per-CPU layer toggle (CMake
 // option PRUDENCE_LOCKFREE_PCPU); see core/prudence_config.h.
@@ -174,13 +174,16 @@ class SlubAllocator final : public Allocator
     Cache& cache_ref(CacheId id) const;
     Cache* cache_of_object(const void* p) const;
 
-    void* alloc_impl(Cache& c);
-    void free_impl(Cache& c, void* p, bool from_callback);
+    /// Slow paths behind the magazine hit paths of cache_alloc and
+    /// cache_free (DESIGN.md §9 "Leaf hit path"); callback-invoked
+    /// frees call free_impl directly and never touch a magazine. They
+    /// take the CacheId so cache_ref's assert stays off the hit path.
+    [[gnu::noinline]] void* alloc_impl(CacheId cache);
+    [[gnu::noinline]] void free_impl(CacheId cache, void* p,
+                                     bool from_callback);
 
     // ---- thread-local magazine layer (same shape as Prudence's;
     // DESIGN.md §9) ----
-    ThreadMagazines& thread_state();
-    std::size_t magazine_capacity_for(const Cache& c) const;
     void* magazine_alloc_slow(Cache& c, ThreadMagazines& t,
                               Magazine& m);
     void magazine_flush(Cache& c, ThreadMagazines& t, Magazine& m,
@@ -207,15 +210,14 @@ class SlubAllocator final : public Allocator
     BuddyAllocator buddy_;
     PageOwnerTable owners_;
     CpuRegistry cpu_registry_;
-    /// Magazine knob (from SlubConfig; 0 = layer disabled).
-    std::size_t magazine_capacity_;
     /// Lock-free per-CPU toggle (from SlubConfig; DESIGN.md §14).
     bool lockfree_pcpu_;
     /// Governor admission-restriction drain width (from SlubConfig).
     std::size_t pressure_drain_batch_;
-    /// Per-thread magazine tables (drain-on-thread-exit). Shut down
-    /// explicitly in the destructor body, before members die.
-    mutable ThreadCacheRegistry magazine_registry_;
+    /// Per-thread magazine tables and the hit-path lookup
+    /// (drain-on-thread-exit). Shut down explicitly in the destructor
+    /// body, before members die.
+    MagazineFront front_;
 
     /// Hard cap on caches per allocator; keeps cache lookup lock-free
     /// (fixed storage + atomic count).

@@ -8,8 +8,8 @@
 namespace prudence {
 
 namespace detail {
-thread_local std::uint64_t t_tcr_last_serial = 0;
-thread_local void* t_tcr_last_table = nullptr;
+constinit thread_local std::uint64_t t_tcr_last_serial = 0;
+constinit thread_local void* t_tcr_last_table = nullptr;
 }  // namespace detail
 
 /// Shared between the registry and every thread that attached a
@@ -49,7 +49,9 @@ struct ThreadEntries
         // Thread exit: drain and reclaim this thread's tables for
         // every registry that is still alive. The drain hook may take
         // per-CPU and node locks (lock order: registry mutex first);
-        // it must not re-enter the registry.
+        // it must not re-enter the registry. The tables die below;
+        // later lookups from this thread must not find one memoised.
+        detail::t_tcr_last_serial = 0;
         for (auto& e : entries) {
             ThreadCacheRegistry::State& st = *e.state;
             std::lock_guard<std::mutex> lock(st.mutex);

@@ -36,8 +36,10 @@ namespace detail {
 /// Most-recently-used (registry serial → table) memo for the calling
 /// thread. Serials are process-unique and never reused, so a stale
 /// memo can only match a registry that no longer receives calls.
-extern thread_local std::uint64_t t_tcr_last_serial;
-extern thread_local void* t_tcr_last_table;
+/// constinit: a reader in another translation unit loads the variable
+/// directly instead of calling its TLS init wrapper.
+extern constinit thread_local std::uint64_t t_tcr_last_serial;
+extern constinit thread_local void* t_tcr_last_table;
 }  // namespace detail
 
 /// Registry of per-thread tables for one allocator instance.

@@ -6,6 +6,11 @@
 
 namespace prudence {
 
+namespace detail {
+constinit thread_local std::uint64_t t_tr_last_serial = 0;
+constinit thread_local ThreadSlot* t_tr_last_slot = nullptr;
+}  // namespace detail
+
 namespace {
 
 std::atomic<std::uint64_t> g_thread_registry_serial{1};
@@ -38,6 +43,9 @@ struct ThreadSlotReleaser
 
     ~ThreadSlotReleaser()
     {
+        // The slots go back below; later lookups from this thread's
+        // remaining exit-time destructors must not find them memoised.
+        detail::t_tr_last_serial = 0;
         std::lock_guard<std::mutex> lock(g_live_mutex);
         for (const Entry& e : entries) {
             auto it = live_registries().find(e.serial);
@@ -78,12 +86,15 @@ ThreadRegistry::~ThreadRegistry()
 }
 
 ThreadSlot&
-ThreadRegistry::slot()
+ThreadRegistry::slot_slow()
 {
-    if (ThreadSlot* cached = t_releaser.find(serial_))
-        return *cached;
-    ThreadSlot* s = acquire_slot();
-    t_releaser.entries.push_back({serial_, s});
+    ThreadSlot* s = t_releaser.find(serial_);
+    if (s == nullptr) {
+        s = acquire_slot();
+        t_releaser.entries.push_back({serial_, s});
+    }
+    detail::t_tr_last_serial = serial_;
+    detail::t_tr_last_slot = s;
     return *s;
 }
 

@@ -39,6 +39,15 @@ struct alignas(kCacheLineSize) ThreadSlot
     std::atomic<bool> in_use{false};
 };
 
+namespace detail {
+/// Most-recently-used (registry serial → slot) memo for the calling
+/// thread. Serials are process-unique and never reused, so a stale
+/// memo can only match a registry that no longer receives calls.
+/// constinit: slot() loads it without a TLS init wrapper.
+extern constinit thread_local std::uint64_t t_tr_last_serial;
+extern constinit thread_local ThreadSlot* t_tr_last_slot;
+}  // namespace detail
+
 /**
  * Registry of per-thread slots with automatic release at thread exit.
  *
@@ -59,9 +68,17 @@ class ThreadRegistry
 
     /**
      * The calling thread's slot in this registry, acquiring one on
-     * first use. The slot stays owned until the thread exits.
+     * first use. The slot stays owned until the thread exits. One
+     * thread-local compare when this registry was the thread's last
+     * lookup (RcuDomain::read_lock/read_unlock call it every time).
      */
-    ThreadSlot& slot();
+    ThreadSlot&
+    slot()
+    {
+        if (detail::t_tr_last_serial == serial_)
+            return *detail::t_tr_last_slot;
+        return slot_slow();
+    }
 
     /**
      * Invoke @p fn(const ThreadSlot&) for every in-use slot.
@@ -88,6 +105,7 @@ class ThreadRegistry
   private:
     friend struct ThreadSlotReleaser;
 
+    ThreadSlot& slot_slow();
     ThreadSlot* acquire_slot();
     void release_slot(ThreadSlot* slot);
 

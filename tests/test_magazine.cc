@@ -405,6 +405,135 @@ TEST(Magazine, SlubCapacityZeroBypassesLayer)
 }
 
 // ---------------------------------------------------------------------
+// Exact counters across the hit/slow split (DESIGN.md §9 "Leaf hit
+// path"): a call is counted once, by the hit path or by the slow path
+// it falls through to, never by both.
+// ---------------------------------------------------------------------
+
+/// Magazine depth of the drive below: with capacity 8 each refill
+/// pulls 4, so 20 allocations cross the empty boundary five times, 20
+/// frees cross the full one, and 12 deferrals spill the buffer once.
+constexpr std::size_t kSplitCapacity = 8;
+constexpr std::uint64_t kSplitAllocs = 20;
+constexpr std::uint64_t kSplitDefers = 12;
+
+/// On a fresh thread: a first-touch allocation and more, as many
+/// frees, then kSplitDefers allocate-and-defer pairs. Thread exit
+/// drains its magazines into the shared counters.
+template <typename Alloc>
+void
+drive_fresh_thread(Alloc& alloc, CacheId id)
+{
+    std::thread worker([&] {
+        std::vector<void*> held;
+        for (std::uint64_t i = 0; i < kSplitAllocs; ++i) {
+            held.push_back(alloc.cache_alloc(id));
+            ASSERT_NE(held.back(), nullptr);
+        }
+        for (void* p : held)
+            alloc.cache_free(id, p);
+        for (std::uint64_t i = 0; i < kSplitDefers; ++i) {
+            void* p = alloc.cache_alloc(id);
+            ASSERT_NE(p, nullptr);
+            alloc.cache_free_deferred(id, p);
+        }
+    });
+    worker.join();
+}
+
+/// The counters after drive_fresh_thread (free_calls counts direct
+/// frees only, not SLUB's grace-period callbacks). Every allocation is
+/// either served without touching slabs (a hit) or makes exactly one
+/// slab refill, so cache_hits is alloc_calls - refills.
+template <typename Alloc>
+void
+expect_exact_split_counters(Alloc& alloc, CacheId id)
+{
+    alloc.quiesce();
+    CacheStatsSnapshot s = alloc.cache_snapshot(id);
+    EXPECT_EQ(s.alloc_calls, kSplitAllocs + kSplitDefers);
+    EXPECT_EQ(s.free_calls, kSplitAllocs);
+    EXPECT_EQ(s.deferred_free_calls, kSplitDefers);
+    EXPECT_GT(s.refills, 0u);
+    EXPECT_EQ(s.cache_hits, s.alloc_calls - s.refills);
+    EXPECT_EQ(s.live_objects, 0);
+    EXPECT_EQ(s.deferred_outstanding, 0);
+    EXPECT_TRUE(alloc.validate().empty());
+}
+
+TEST(MagazineSplit, PrudenceCountsEachCallOnce)
+{
+    for (std::size_t capacity : {kSplitCapacity, std::size_t{0}}) {
+        SCOPED_TRACE(capacity);
+        ManualRcuDomain domain;
+        PrudenceAllocator alloc(domain, mag_config(capacity));
+        CacheId id = alloc.create_cache("split", 128);
+        drive_fresh_thread(alloc, id);
+        expect_exact_split_counters(alloc, id);
+    }
+}
+
+SlubConfig
+slub_split_config(std::size_t capacity)
+{
+    SlubConfig cfg;
+    cfg.arena_bytes = 64 << 20;
+    cfg.cpus = 1;
+    cfg.magazine_capacity = capacity;
+    // Grace-period callbacks run only in quiesce()/reclaim_ready(),
+    // on the calling thread.
+    cfg.callback.background_drainer = false;
+    cfg.callback.inline_batch_limit = 0;
+    return cfg;
+}
+
+TEST(MagazineSplit, SlubCountsEachCallOnce)
+{
+    for (std::size_t capacity : {kSplitCapacity, std::size_t{0}}) {
+        SCOPED_TRACE(capacity);
+        ManualRcuDomain domain;
+        SlubAllocator alloc(domain, slub_split_config(capacity));
+        CacheId id = alloc.create_cache("slub_split", 128);
+        drive_fresh_thread(alloc, id);
+        expect_exact_split_counters(alloc, id);
+    }
+}
+
+TEST(MagazineSplit, SlubCallbackFreesBypassMagazine)
+{
+    // The callbacks run on this thread, which owns a magazine with
+    // room to spare: a callback-invoked free must still go to the
+    // shared layer, or the drainer threads of a background engine
+    // would strand objects in magazines that never drain.
+    ManualRcuDomain domain;
+    SlubAllocator alloc(domain, slub_split_config(kSplitCapacity));
+    CacheId id = alloc.create_cache("slub_cb", 128);
+
+    // The first-touch refill leaves two objects in the magazine.
+    void* a = alloc.cache_alloc(id);
+    void* b = alloc.cache_alloc(id);
+    ASSERT_NE(a, nullptr);
+    ASSERT_NE(b, nullptr);
+    alloc.cache_free_deferred(id, a);
+    alloc.cache_free_deferred(id, b);
+
+    domain.advance();
+    alloc.reclaim_ready();
+    EXPECT_EQ(alloc.callback_stats().backlog, 0);
+    // A magazine is LIFO: had the callbacks pushed a and b into it,
+    // the next allocation would hand b back.
+    void* next = alloc.cache_alloc(id);
+    EXPECT_NE(next, a);
+    EXPECT_NE(next, b);
+    alloc.cache_free(id, next);
+
+    CacheStatsSnapshot s = alloc.cache_snapshot(id);
+    EXPECT_EQ(s.free_calls, 1u);
+    EXPECT_EQ(s.deferred_outstanding, 0);
+    EXPECT_TRUE(alloc.validate().empty());
+}
+
+// ---------------------------------------------------------------------
 // Concurrency: more threads than vCPUs hammering every entry point.
 // Run under the tsan preset this exercises the registry, the shared
 // per-CPU locks under magazine batch traffic, and concurrent
